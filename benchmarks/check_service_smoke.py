@@ -31,6 +31,10 @@ must be bit-identical to serial with zero duplicates — one row per trial
 even though uploads were dropped, delayed, duplicated, and truncated and
 a worker died mid-lease.
 
+Both drills also check that the finished job's ``completed`` and
+``quarantined`` counters equal its ``ok`` and ``quarantined`` run-table
+rows.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/check_service_smoke.py [--seed 1]
@@ -163,6 +167,24 @@ def check_results(client, spec, reference, final, failures) -> None:
             f"summary count {summary['count']} != {len(spec.trials)}")
 
 
+def check_counters(client, job_id, spec, failures) -> None:
+    """The finished job's counters (``GET /jobs/{id}``) must equal its
+    run-table rows (``GET /runs``): ``completed`` the ``ok`` rows and
+    ``quarantined`` the ``quarantined`` rows over the job's
+    (trial_id, fingerprint) set."""
+    job = client.job(job_id)
+    keys = {(t.trial_id, t.fingerprint()) for t in spec.trials}
+    rows = [r for r in client.runs(experiment=spec.name,
+                                   limit=len(spec.trials) + 10)["runs"]
+            if (r["trial_id"], r["fingerprint"]) in keys]
+    for counter, status in (("completed", "ok"),
+                            ("quarantined", "quarantined")):
+        n = sum(1 for r in rows if r["status"] == status)
+        if job[counter] != n:
+            failures.append(
+                f"job {counter}={job[counter]} but {n} {status} rows")
+
+
 def run_smoke(args, env) -> int:
     port = free_port()
     failures = []
@@ -285,6 +307,7 @@ def run_chaos(args, env) -> int:
 
             spec, reference = serial_reference(args.seed)
             check_results(client, spec, reference, final, failures)
+            check_counters(client, reply["job_id"], spec, failures)
         finally:
             stop_serve(proc)
             if second is not None:
@@ -374,6 +397,7 @@ def run_workers(args, env) -> int:
 
             spec, reference = serial_reference(args.seed)
             check_results(client, spec, reference, final, failures)
+            check_counters(client, reply["job_id"], spec, failures)
 
             rows = client.runs(experiment=spec.name,
                                limit=len(spec.trials) + 10)["runs"]

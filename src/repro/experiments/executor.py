@@ -13,8 +13,8 @@ reduction. Backends plug in how trials execute:
   nothing but the read-only testbed (shipped once per worker), so this is
   an embarrassingly parallel map with deterministic output.
 
-:class:`ResultStore` adds JSON persistence: completed trials are saved under
-(trial_id, fingerprint) and skipped on resume.
+:class:`ResultStore` adds persistence: completed trials are appended to a
+JSON-lines journal under (trial_id, fingerprint) and skipped on resume.
 """
 
 from __future__ import annotations
@@ -491,15 +491,29 @@ def make_backend(
 # Persistence
 # ----------------------------------------------------------------------
 class ResultStore:
-    """JSON persistence of trial results, keyed by (trial_id, fingerprint).
+    """Persistence of trial results, keyed by (trial_id, fingerprint).
 
     A store is bound to one testbed seed; resuming against a different
-    testbed raises rather than silently mixing incompatible results. Writes
-    are atomic (temp file + rename) so an interrupted sweep never corrupts
-    earlier results.
+    testbed raises rather than silently mixing incompatible results.
+
+    On disk a store is an append-only journal of JSON lines: a header line
+    ``{"testbed_seed": ..., "experiment": ...}``, then one
+    ``TrialResult.to_json`` line per :meth:`put`. :meth:`save` appends
+    only the results put since the previous save, then fsyncs, so
+    committing a trial costs the same whether it is the first of a sweep
+    or the last. A new store, a file in the legacy single-object format
+    (``{"testbed_seed", "experiment", "trials": [...]}``, still read), a
+    journal whose last line was torn by a crash mid-append, or a header
+    that changed since it was written gets one atomic full write instead
+    (temp file + fsync + rename). Loading ignores a torn final line (no
+    newline: its append never completed, so its save never returned) and
+    raises on a corrupt complete line — that is damage, not an
+    interrupted append. A failed append truncates the file back to its
+    size before the append and re-raises; the results stay pending, so a
+    retried save lands exactly one copy of each.
 
     ``experiment`` names the sweep the results belong to and is persisted
-    in the file — it is what lets a corrupted run-table be rebuilt from
+    in the header — it is what lets a corrupted run-table be rebuilt from
     the flat stores alone (``RunTable.rebuild_from_stores``), without the
     jobs table that died with it. ``fault_hook`` fires site ``store.save``
     (keyed by path) at the top of every save, before anything touches
@@ -519,13 +533,41 @@ class ResultStore:
         self.experiment = experiment
         self.fault_hook = fault_hook
         self._results: Dict[str, TrialResult] = {}
+        #: Results put since the last save, in put order (the next append).
+        self._unsaved: List[TrialResult] = []
+        #: The header the file on disk carries; None forces a full write
+        #: (no file yet, legacy format, or a torn tail to drop).
+        self._disk_header: Optional[dict] = None
         if os.path.exists(path):
             self._load()
 
     def _load(self) -> None:
-        with open(self.path) as f:
-            obj = json.load(f)
-        stored_seed = obj.get("testbed_seed")
+        with open(self.path, "rb") as f:
+            data = f.read()
+        first, _, rest = data.partition(b"\n")
+        try:
+            head = json.loads(first)
+        except ValueError as exc:
+            raise ValueError(
+                f"result store {self.path}: unreadable header ({exc})"
+            ) from None
+        if "trials" in head:
+            entries = head["trials"]  # legacy single-object file
+        else:
+            lines = rest.split(b"\n")
+            torn = lines.pop()  # bytes after the last newline
+            entries = []
+            for lineno, line in enumerate(lines, start=2):
+                try:
+                    entries.append(json.loads(line))
+                except ValueError:
+                    raise ValueError(
+                        f"result store {self.path}: corrupt record on "
+                        f"line {lineno}"
+                    ) from None
+            if not torn:
+                self._disk_header = head
+        stored_seed = head.get("testbed_seed")
         if (self.testbed_seed is not None and stored_seed is not None
                 and stored_seed != self.testbed_seed):
             raise ValueError(
@@ -534,9 +576,9 @@ class ResultStore:
             )
         if stored_seed is not None:
             self.testbed_seed = stored_seed
-        if obj.get("experiment") is not None:
-            self.experiment = obj["experiment"]
-        for entry in obj.get("trials", []):
+        if head.get("experiment") is not None:
+            self.experiment = head["experiment"]
+        for entry in entries:
             res = TrialResult.from_json(entry)
             self._results[res.trial_id] = res
 
@@ -548,6 +590,7 @@ class ResultStore:
 
     def put(self, result: TrialResult) -> None:
         self._results[result.trial_id] = result
+        self._unsaved.append(result)
 
     def has(self, trial_id: str, fingerprint: str) -> bool:
         """Whether a result with exactly this (trial_id, fingerprint) is
@@ -577,24 +620,50 @@ class ResultStore:
         return len(self._results)
 
     def save(self) -> None:
-        """Atomically persist the store: a mid-save crash (including power
-        loss, which ``os.replace`` alone does not cover) leaves the previous
-        on-disk contents intact — the coordinator's crash-resume path reads
-        this file, so a truncated store would silently re-run or, worse,
-        half-resume a sweep."""
+        """Make every put durable: append the unsaved results, or rewrite
+        the whole file atomically when the on-disk journal cannot simply
+        be extended (see the class docstring). Either way a failed save
+        leaves the previous on-disk contents readable — the coordinator's
+        crash-resume path reads this file, so a truncated store would
+        silently re-run or, worse, half-resume a sweep."""
         if self.fault_hook is not None:
             self.fault_hook("store.save", self.path)
-        payload = {
-            "testbed_seed": self.testbed_seed,
-            "trials": [r.to_json() for r in self._results.values()],
-        }
-        if self.experiment is not None:
-            payload["experiment"] = self.experiment
+        header = {"testbed_seed": self.testbed_seed,
+                  "experiment": self.experiment}
+        if self._disk_header != header:
+            self._write_all(header)
+        elif self._unsaved:
+            self._append(b"".join(
+                _journal_line(r.to_json()) for r in self._unsaved))
+        self._unsaved = []
+
+    def _append(self, data: bytes) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            size = os.fstat(fd).st_size
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.fsync(fd)
+            except BaseException:
+                try:
+                    os.ftruncate(fd, size)
+                    os.fsync(fd)
+                except OSError:
+                    self._disk_header = None  # unknown tail: rewrite next
+                raise
+        finally:
+            os.close(fd)
+
+    def _write_all(self, header: dict) -> None:
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f)
+            with os.fdopen(fd, "wb") as f:
+                f.write(_journal_line(header))
+                for r in self._results.values():
+                    f.write(_journal_line(r.to_json()))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, self.path)
@@ -602,6 +671,13 @@ class ResultStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self._disk_header = header
+
+
+def _journal_line(obj: dict) -> bytes:
+    """One journal record: compact JSON (which never contains a raw
+    newline) terminated by the newline that marks it complete."""
+    return json.dumps(obj).encode() + b"\n"
 
 
 # ----------------------------------------------------------------------

@@ -23,15 +23,23 @@ worker twice — are **quarantined**: recorded in the run-table with status
 The job finishes ``done_partial``; one poisoned trial never stalls or
 fails a whole sweep.
 
+Commit path: a finished trial is appended to the job's ResultStore
+journal (fsynced), then its run-table row and the job's counters land in
+one sqlite transaction. Neither write touches anything recorded before
+it, so the per-trial cost does not grow with the job; the job's full
+descriptor is rewritten only on state transitions (submit, lease,
+requeue, finalize), and the counters always agree with the rows.
+
 Crash-resume: every state transition is upserted into the run-table, so a
 coordinator that died mid-job leaves a ``running`` row behind.
 :meth:`Coordinator.resume_open_jobs` re-queues those on startup; when the
-job runs again, trials whose (id, fingerprint) already sit in its
-ResultStore are served from cache — bit-identical, and never re-executed —
-and trials a previous incarnation quarantined are skipped by their
-run-table row instead of hanging a worker again. If the run-table itself
-failed its integrity check at open, the trial rows are rebuilt from the
-flat stores before anything else runs.
+job is leased again, one sweep (:meth:`Coordinator._begin_run`) serves
+trials whose (id, fingerprint) already sit in its ResultStore from cache —
+bit-identical, and never re-executed — and skips trials a previous
+incarnation quarantined by their run-table row instead of hanging a
+worker again; the counters it computes are committed with the lease. If
+the run-table itself failed its integrity check at open, the trial rows
+are rebuilt from the flat stores before anything else runs.
 """
 
 from __future__ import annotations
@@ -205,18 +213,17 @@ class Coordinator:
     def resume_open_jobs(self) -> List[str]:
         """Re-queue every job a previous process left queued or running.
 
-        Progress counters restart from zero; trials that completed before
-        the crash are served from the job's fingerprinted store, and
-        trials a previous incarnation quarantined are re-counted from
-        their run-table rows — neither re-executes."""
+        Progress counters are recomputed when the job is leased again:
+        trials that completed before the crash are served from the job's
+        fingerprinted store, and trials a previous incarnation quarantined
+        are re-counted from their run-table rows — neither re-executes.
+        Until then the job keeps its persisted counters, which match its
+        rows."""
         resumed = []
         for job in self.runtable.open_jobs():
             if job.job_id in self._jobs:
                 continue
             job.state = QUEUED
-            job.completed = 0
-            job.failed = 0
-            job.quarantined = 0
             self.submit(job)
             resumed.append(job.job_id)
         return resumed
@@ -377,21 +384,10 @@ class Coordinator:
         if job.cancel_requested:
             self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
             return
-        job.state = RUNNING
-        job.started_at = time.time()
-        job.completed = 0
-        job.failed = 0
-        job.quarantined = 0
-        self.runtable.upsert_job(job)
-        self._notify()
+        store = self._open_store(job)
+        to_run = self._begin_run(job, store)
 
         testbed = self.testbed(job.testbed_seed)
-        store = ResultStore(
-            self._store_path(job),
-            testbed_seed=job.testbed_seed,
-            experiment=job.name,
-            fault_hook=self._fault_hook,
-        )
         backend = make_backend(
             self.trial_jobs,
             trial_timeout_s=self.trial_timeout_s,
@@ -402,9 +398,8 @@ class Coordinator:
         #: Transient-retry budget shared by every trial of this run.
         budget = {"left": self.retry_budget}
 
-        trials = list(job.trials)
         index = 0
-        while index < len(trials):
+        while index < len(to_run):
             # --- trial/chunk boundary: the scheduling decisions ---------
             # Heartbeat first: it keeps a job whose trials outlive
             # ``lease_s`` from being reaped mid-run, and it detects the
@@ -423,29 +418,8 @@ class Coordinator:
                 self._requeue(job, worker_id)
                 return
 
-            chunk = trials[index:index + chunk_size]
-            index += len(chunk)
-
-            # Fingerprint-cached and already-quarantined trials (the
-            # resume paths) never re-execute — a trial that hung a worker
-            # in a previous incarnation must not hang this one.
-            pending: List[TrialSpec] = []
-            for trial in chunk:
-                cached = store.get(trial)
-                if cached is not None:
-                    self._record_ok(job, cached, wall=None, replace=False)
-                    continue
-                status = self.runtable.trial_status(
-                    job.name, trial.trial_id, trial.fingerprint()
-                )
-                if status == "quarantined":
-                    job.quarantined += 1
-                    self.runtable.upsert_job(job)
-                    self._notify()
-                    continue
-                pending.append(trial)
-            if not pending:
-                continue
+            pending = to_run[index:index + chunk_size]
+            index += len(pending)
 
             done_ids: set = set()
             quarantined_ids: set = set()
@@ -454,8 +428,7 @@ class Coordinator:
                     _store.put(res)
                     self._save_store(_store)
                     done_ids.add(res.trial_id)
-                    self._record_ok(job, res, wall=None, replace=True,
-                                    already_stored=True)
+                    self._record_ok(job, res, wall=None)
 
                 def on_error(trial: TrialSpec, exc: BaseException) -> None:
                     # The pool already applied its own policy: a hung
@@ -491,8 +464,7 @@ class Coordinator:
                 if result is not None:
                     store.put(result)
                     self._save_store(store)
-                    self._record_ok(job, result, wall=wall, replace=True,
-                                    already_stored=True)
+                    self._record_ok(job, result, wall=wall)
                 else:
                     self._quarantine(job, trial, exc)
 
@@ -555,10 +527,11 @@ class Coordinator:
         """Lease one job to a remote worker.
 
         The coordinator sweeps the job's fingerprinted store and the
-        run-table *before* shipping it: cached results are recorded (with
-        this grant's token) and quarantined trials counted server-side, so
-        the worker stays stateless and only ever receives trials that
-        actually need executing. Returns None when nothing is queued, else
+        run-table *before* shipping it (:meth:`_begin_run`): cached
+        results are recorded (with this grant's token) and quarantined
+        trials counted server-side, so the worker stays stateless and only
+        ever receives trials that actually need executing. Returns None
+        when nothing is queued, else
         ``{"job": SweepJob, "token": int, "pending": [TrialSpec, ...]}``.
         """
         self.touch_worker(worker_id)
@@ -570,37 +543,9 @@ class Coordinator:
         if job.cancel_requested:
             self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
             return None
-        job.state = RUNNING
-        job.started_at = time.time()
-        job.completed = 0
-        job.failed = 0
-        job.quarantined = 0
-        self.runtable.upsert_job(job)
-        self._notify()
-        store = ResultStore(
-            self._store_path(job),
-            testbed_seed=job.testbed_seed,
-            experiment=job.name,
-            fault_hook=self._fault_hook,
-        )
-        pending: List[TrialSpec] = []
-        for trial in job.trials:
-            cached = store.get(trial)
-            if cached is not None:
-                self._record_ok(
-                    job, cached, wall=None, replace=False,
-                    worker_id=worker_id, attempt=job.attempt, token=token,
-                )
-                continue
-            status = self.runtable.trial_status(
-                job.name, trial.trial_id, trial.fingerprint()
-            )
-            if status == "quarantined":
-                job.quarantined += 1
-                self.runtable.upsert_job(job)
-                self._notify()
-                continue
-            pending.append(trial)
+        store = self._open_store(job)
+        pending = self._begin_run(job, store, worker_id=worker_id,
+                                  attempt=job.attempt, token=token)
         with self._cond:
             self._remote[job.job_id] = {
                 "worker_id": worker_id, "token": token, "store": store,
@@ -659,7 +604,7 @@ class Coordinator:
             store.put(result)
             self._save_store(store)
             self._record_ok(
-                job, result, wall=wall, replace=True, already_stored=True,
+                job, result, wall=wall,
                 worker_id=worker_id, attempt=job.attempt, token=token,
             )
         return True
@@ -701,14 +646,13 @@ class Coordinator:
             )
             if status == "quarantined":
                 return
-            job.quarantined += 1
-            job.error = f"{error_class_name}: {error}"
             self.runtable.record_quarantine(
                 job.name, trial_id, fingerprint, error, error_class_name,
                 seed=job.testbed_seed, job_id=job.job_id,
                 worker_id=worker_id, attempt=job.attempt, token=token,
             )
-            self.runtable.upsert_job(job)
+            job.quarantined += 1
+            job.error = f"{error_class_name}: {error}"
         self._notify()
 
     def remote_ack(self, job_id: str, worker_id: str, token: int) -> dict:
@@ -807,24 +751,67 @@ class Coordinator:
         return kwargs
 
     # ------------------------------------------------------------------
+    def _open_store(self, job: SweepJob) -> ResultStore:
+        return ResultStore(
+            self._store_path(job),
+            testbed_seed=job.testbed_seed,
+            experiment=job.name,
+            fault_hook=self._fault_hook,
+        )
+
+    def _begin_run(
+        self,
+        job: SweepJob,
+        store: ResultStore,
+        worker_id: Optional[str] = None,
+        attempt: Optional[int] = None,
+        token: Optional[int] = None,
+    ) -> List[TrialSpec]:
+        """Move a freshly leased job to RUNNING and return the trials that
+        still need executing.
+
+        Fingerprint-cached and already-quarantined trials (the resume
+        paths) never re-execute — a trial that hung a worker in a previous
+        incarnation must not hang this one. The counters restart from what
+        this sweep finds, and the cached results' rows, the counters and
+        the RUNNING state are committed in one transaction, so a job with
+        every result cached costs one job write, not one per trial."""
+        quarantined = self.runtable.quarantined_trials(job.name)
+        cached: List[TrialResult] = []
+        pending: List[TrialSpec] = []
+        job.quarantined = 0
+        for trial in job.trials:
+            hit = store.get(trial)
+            if hit is not None:
+                cached.append(hit)
+            elif (trial.trial_id, trial.fingerprint()) in quarantined:
+                job.quarantined += 1
+            else:
+                pending.append(trial)
+        job.completed = len(cached)
+        job.failed = 0
+        job.state = RUNNING
+        job.started_at = time.time()
+        self.runtable.begin_run(job, cached, worker_id=worker_id,
+                                attempt=attempt, token=token)
+        self._notify()
+        return pending
+
     def _record_ok(
         self,
         job: SweepJob,
         result: TrialResult,
         wall: Optional[float],
-        replace: bool,
-        already_stored: bool = False,
         worker_id: Optional[str] = None,
         attempt: Optional[int] = None,
         token: Optional[int] = None,
     ) -> None:
         self.runtable.record_trial(
             job.name, result, seed=job.testbed_seed, wall_time=wall,
-            status="ok", job_id=job.job_id, replace=replace,
+            status="ok", job_id=job.job_id,
             worker_id=worker_id, attempt=attempt, token=token,
         )
         job.completed += 1
-        self.runtable.upsert_job(job)
         self._notify()
         if self._fault_hook is not None:
             # After the row and counters are durable: a kill/crash here is
@@ -835,21 +822,20 @@ class Coordinator:
         self, job: SweepJob, trial: TrialSpec, exc: Optional[BaseException]
     ) -> None:
         exc = exc if exc is not None else RuntimeError("unknown error")
-        message = f"{error_class(exc)}: {exc}"
-        job.quarantined += 1
-        job.error = message
         self.runtable.record_quarantine(
             job.name, trial.trial_id, trial.fingerprint(),
             str(exc), error_class(exc),
             seed=job.testbed_seed, job_id=job.job_id,
         )
-        self.runtable.upsert_job(job)
+        job.quarantined += 1
+        job.error = f"{error_class(exc)}: {exc}"
         self._notify()
 
     def _save_store(self, store: ResultStore) -> None:
         """Persist the store, absorbing up to two transient write failures
-        (full disk that clears, injected OSError). The save is atomic, so
-        a failed attempt leaves the previous contents intact."""
+        (full disk that clears, injected OSError). A failed save leaves the
+        previous contents intact and its results pending, so the retry
+        appends each of them exactly once."""
         for attempt in range(3):
             try:
                 store.save()

@@ -1,6 +1,6 @@
 """The sqlite run-table: an indexed store of every trial ever run.
 
-The flat-JSON :class:`~repro.experiments.executor.ResultStore` stays the
+The flat-file :class:`~repro.experiments.executor.ResultStore` stays the
 executor's *resume* source of truth (it is what fingerprint-keyed caching
 reads), but it answers "what ran last week" only by re-parsing whole files.
 The run-table is the query side: every completed (or failed, or
@@ -15,6 +15,20 @@ jobs still ``queued``/``running`` at startup are what the coordinator
 re-queues after a crash. The jobs table also carries the submit
 idempotency key, so a retried HTTP submit deduplicates even across a
 coordinator restart.
+
+The job's full wire form (every TrialSpec) is written only on state
+transitions (:meth:`RunTable.upsert_job` at submit, requeue and finalize;
+:meth:`RunTable.begin_run` at lease). Per-trial progress travels with the
+trial row instead: ``record_trial``/``record_quarantine`` given a
+``job_id`` also bump that job's ``completed``/``quarantined`` column *in
+the same transaction*, so a commit costs the same for the first trial of
+a sweep as for the last, and no crash can land a row without its counter
+bump or the bump without its row. The bump counts the trial even when
+the row is not written (an idempotent duplicate, or a quarantine that
+finds an ``ok`` row), because the coordinator counts it either way;
+keeping counters equal to rows therefore also relies on the
+coordinator's own dedup (see DESIGN.md). Those columns are
+authoritative: every read overlays them on the decoded wire.
 
 Crash consistency (see DESIGN.md "Failure domains"):
 
@@ -86,7 +100,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     total        INTEGER NOT NULL,
     error        TEXT,
     wire         TEXT NOT NULL,
-    idem_key     TEXT
+    idem_key     TEXT,
+    quarantined  INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state);
 """
@@ -95,6 +110,15 @@ _TRIAL_COLUMNS = (
     "experiment", "trial_id", "fingerprint", "seed", "wall_time", "status",
     "job_id", "worker_id", "attempt", "token", "recorded_at",
 )
+
+_INSERT_TRIAL = (
+    "INTO trials (experiment, trial_id, fingerprint, seed, wall_time, "
+    "status, job_id, worker_id, attempt, token, recorded_at, payload) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
+
+#: Every job read selects the wire plus the columns a trial record updates.
+_SELECT_JOB = "SELECT wire, completed, quarantined, error FROM jobs"
 
 
 class RunTable:
@@ -182,6 +206,16 @@ class RunTable:
         self._conn.execute(
             "CREATE INDEX IF NOT EXISTS idx_jobs_idem ON jobs(idem_key)"
         )
+        if "quarantined" not in cols:
+            # Older files kept this counter only inside the wire.
+            self._conn.execute(
+                "ALTER TABLE jobs ADD COLUMN quarantined INTEGER NOT NULL "
+                "DEFAULT 0"
+            )
+            self._conn.execute(
+                "UPDATE jobs SET quarantined = "
+                "COALESCE(json_extract(wire, '$.quarantined'), 0)"
+            )
         trial_cols = {
             row["name"]
             for row in self._conn.execute("PRAGMA table_info(trials)")
@@ -264,7 +298,12 @@ class RunTable:
         :class:`~repro.errors.StaleTokenError` is raised and nothing is
         written, whatever ``replace`` says. A fenced write that finds an
         existing ``ok`` row returns False (idempotent duplicate) instead of
-        overwriting it. Returns True when a row was written."""
+        overwriting it. Returns True when a row was written.
+
+        A ``job_id`` also bumps that job's ``completed`` column in the
+        same transaction (see the module docstring) — whether or not the
+        row itself was written, since the caller counts the trial either
+        way; a fenced rejection rolls both back."""
         verb = "INSERT OR REPLACE" if replace else "INSERT OR IGNORE"
         row = (
             experiment,
@@ -283,6 +322,12 @@ class RunTable:
 
         def _do(conn: sqlite3.Connection) -> bool:
             with conn:
+                if job_id is not None:
+                    conn.execute(
+                        "UPDATE jobs SET completed = completed + 1 "
+                        "WHERE job_id = ?",
+                        (job_id,),
+                    )
                 if token is not None:
                     existing = conn.execute(
                         "SELECT status, token FROM trials WHERE "
@@ -299,13 +344,7 @@ class RunTable:
                             )
                         if existing["status"] == "ok":
                             return False  # idempotent duplicate
-                cur = conn.execute(
-                    f"{verb} INTO trials (experiment, trial_id, fingerprint, "
-                    f"seed, wall_time, status, job_id, worker_id, attempt, "
-                    f"token, recorded_at, payload) "
-                    f"VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    row,
-                )
+                cur = conn.execute(f"{verb} {_INSERT_TRIAL}", row)
                 return cur.rowcount > 0
 
         return bool(self._exec(_do))
@@ -331,7 +370,7 @@ class RunTable:
         previously recorded TrialResult from the query side."""
         self._record_bad(
             experiment, trial_id, fingerprint, "failed",
-            {"error": error}, seed, job_id, worker_id, attempt, token,
+            {"error": error}, error, seed, job_id, worker_id, attempt, token,
         )
 
     def record_quarantine(
@@ -351,11 +390,14 @@ class RunTable:
         past its watchdog, or killed its worker twice. The error *class*
         is recorded alongside the message so "what kinds of trials get
         quarantined" is one GROUP BY away. Like failures, a quarantine
-        never overwrites an ``ok`` row."""
+        never overwrites an ``ok`` row. A ``job_id`` bumps that job's
+        ``quarantined`` column and sets its ``error`` in the same
+        transaction, as in :meth:`record_trial`."""
         self._record_bad(
             experiment, trial_id, fingerprint, "quarantined",
-            {"error": error, "error_class": error_class}, seed, job_id,
-            worker_id, attempt, token,
+            {"error": error, "error_class": error_class},
+            f"{error_class}: {error}", seed, job_id, worker_id, attempt,
+            token,
         )
 
     def _record_bad(
@@ -365,14 +407,24 @@ class RunTable:
         fingerprint: str,
         status: str,
         payload: dict,
+        job_error: str,
         seed: Optional[int],
         job_id: Optional[str],
         worker_id: Optional[str] = None,
         attempt: Optional[int] = None,
         token: Optional[int] = None,
     ) -> None:
+        """Shared by failures and quarantines. A ``job_id`` counts the
+        trial on that job (its ``status`` column) and sets the job's
+        error to ``job_error``, in the same transaction as the row."""
         def _do(conn: sqlite3.Connection) -> None:
             with conn:
+                if job_id is not None:
+                    conn.execute(
+                        f"UPDATE jobs SET {status} = {status} + 1, "
+                        f"error = ? WHERE job_id = ?",
+                        (job_error, job_id),
+                    )
                 row = conn.execute(
                     "SELECT status, token FROM trials WHERE experiment = ? "
                     "AND trial_id = ? AND fingerprint = ?",
@@ -393,10 +445,7 @@ class RunTable:
                             f"write with stale token {token}"
                         )
                 conn.execute(
-                    "INSERT OR REPLACE INTO trials (experiment, trial_id, "
-                    "fingerprint, seed, wall_time, status, job_id, "
-                    "worker_id, attempt, token, recorded_at, payload) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    f"INSERT OR REPLACE {_INSERT_TRIAL}",
                     (
                         experiment, trial_id, fingerprint, seed, None,
                         status, job_id, worker_id, attempt, token,
@@ -478,6 +527,19 @@ class RunTable:
             ).fetchone()
         )
         return None if row is None else str(row["status"])
+
+    def quarantined_trials(self, experiment: str) -> "set[tuple[str, str]]":
+        """Every (trial_id, fingerprint) of ``experiment`` with a
+        ``quarantined`` row — the lease-time sweep's one query for the
+        trials a previous incarnation gave up on."""
+        rows = self._exec(
+            lambda conn: conn.execute(
+                "SELECT trial_id, fingerprint FROM trials WHERE "
+                "experiment = ? AND status = 'quarantined'",
+                (experiment,),
+            ).fetchall()
+        )
+        return {(r["trial_id"], r["fingerprint"]) for r in rows}
 
     def trial_count(
         self,
@@ -601,35 +663,53 @@ class RunTable:
     # Jobs table
     # ------------------------------------------------------------------
     def upsert_job(self, job: SweepJob) -> None:
-        row = (
-            job.job_id, job.name, job.priority, job.state,
-            job.testbed_seed, job.submitted_at, job.started_at,
-            job.finished_at, job.completed, job.failed, job.total,
-            job.error, json.dumps(job.to_wire()), job.idempotency_key,
-        )
+        """Write the job's full row, wire form included — the state
+        transitions only; per-trial progress goes through the ``job_id`` of
+        :meth:`record_trial`/:meth:`record_quarantine`."""
+        def _do(conn: sqlite3.Connection) -> None:
+            with conn:
+                _upsert_job(conn, job)
+
+        self._exec(_do)
+
+    def begin_run(
+        self,
+        job: SweepJob,
+        cached: Sequence[TrialResult],
+        worker_id: Optional[str] = None,
+        attempt: Optional[int] = None,
+        token: Optional[int] = None,
+    ) -> None:
+        """The lease transition as one transaction: an ``ok`` row for
+        every result the job's store already holds, then the job's full
+        row (state and counters as the caller's store sweep left them).
+
+        Cached rows never replace an existing row, so a resumed job keeps
+        its original wall times. They carry the new grant's ``token``
+        without the stale-token check :meth:`record_trial` makes: a fresh
+        grant's token is larger than any persisted one."""
+        now = time.time()
+        rows = [
+            (job.name, r.trial_id, r.fingerprint, job.testbed_seed, None,
+             "ok", job.job_id, worker_id, attempt, token, now,
+             json.dumps(r.to_json()))
+            for r in cached
+        ]
 
         def _do(conn: sqlite3.Connection) -> None:
             with conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO jobs (job_id, name, priority, "
-                    "state, testbed_seed, submitted_at, started_at, "
-                    "finished_at, completed, failed, total, error, wire, "
-                    "idem_key) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    row,
-                )
+                conn.executemany(f"INSERT OR IGNORE {_INSERT_TRIAL}", rows)
+                _upsert_job(conn, job)
 
         self._exec(_do)
 
     def get_job(self, job_id: str) -> Optional[SweepJob]:
         row = self._exec(
             lambda conn: conn.execute(
-                "SELECT wire FROM jobs WHERE job_id = ?", (job_id,)
+                f"{_SELECT_JOB} WHERE job_id = ?", (job_id,)
             ).fetchone()
         )
-        if row is None:
-            return None
-        return SweepJob.from_wire(json.loads(row["wire"]))
+        return None if row is None else _job_from_row(row)
 
     def job_by_idempotency_key(self, key: str) -> Optional[SweepJob]:
         """The earliest job submitted under ``key`` (None if unseen) — the
@@ -638,19 +718,17 @@ class RunTable:
         coordinator restart."""
         row = self._exec(
             lambda conn: conn.execute(
-                "SELECT wire FROM jobs WHERE idem_key = ? "
+                f"{_SELECT_JOB} WHERE idem_key = ? "
                 "ORDER BY submitted_at, job_id LIMIT 1",
                 (key,),
             ).fetchone()
         )
-        if row is None:
-            return None
-        return SweepJob.from_wire(json.loads(row["wire"]))
+        return None if row is None else _job_from_row(row)
 
     def list_jobs(
         self, limit: int = 50, states: Optional[Sequence[str]] = None
     ) -> List[SweepJob]:
-        sql = "SELECT wire FROM jobs"
+        sql = _SELECT_JOB
         args: List[Any] = []
         if states:
             sql += " WHERE state IN (%s)" % ",".join("?" * len(states))
@@ -658,7 +736,7 @@ class RunTable:
         sql += " ORDER BY submitted_at DESC LIMIT ?"
         args.append(int(limit))
         rows = self._exec(lambda conn: conn.execute(sql, args).fetchall())
-        return [SweepJob.from_wire(json.loads(r["wire"])) for r in rows]
+        return [_job_from_row(r) for r in rows]
 
     def open_jobs(self) -> List[SweepJob]:
         """Jobs a previous coordinator left queued or running — the
@@ -723,6 +801,30 @@ class RunTable:
                 clauses.append(f"{column} = ?")
                 args.append(value)
         return (" WHERE " + " AND ".join(clauses)) if clauses else "", args
+
+
+def _upsert_job(conn: sqlite3.Connection, job: SweepJob) -> None:
+    conn.execute(
+        "INSERT OR REPLACE INTO jobs (job_id, name, priority, state, "
+        "testbed_seed, submitted_at, started_at, finished_at, completed, "
+        "failed, quarantined, total, error, wire, idem_key) "
+        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            job.job_id, job.name, job.priority, job.state,
+            job.testbed_seed, job.submitted_at, job.started_at,
+            job.finished_at, job.completed, job.failed, job.quarantined,
+            job.total, job.error, json.dumps(job.to_wire()),
+            job.idempotency_key,
+        ),
+    )
+
+
+def _job_from_row(row: sqlite3.Row) -> SweepJob:
+    job = SweepJob.from_wire(json.loads(row["wire"]))
+    job.completed = int(row["completed"])
+    job.quarantined = int(row["quarantined"])
+    job.error = row["error"]
+    return job
 
 
 def _extract_metric(res: TrialResult, metric: str) -> Optional[float]:

@@ -10,6 +10,8 @@ The load-bearing guarantees:
   makes persistence/resume sound.
 """
 
+import json
+import os
 import pickle
 
 import pytest
@@ -33,7 +35,13 @@ from repro.experiments.runners import (
     run_inrange_senders,
 )
 from repro.experiments.scenarios import InterfererTriple
-from repro.experiments.spec import ExperimentSpec, MacSpec, TrialSpec, coerce_mac
+from repro.experiments.spec import (
+    ExperimentSpec,
+    MacSpec,
+    TrialResult,
+    TrialSpec,
+    coerce_mac,
+)
 from repro.net.testbed import Testbed
 from repro.network import build_mac_factory
 
@@ -262,18 +270,51 @@ class RudeBackend:
         raise RuntimeError("simulated worker death before any save")
 
 
+class _TearingOs:
+    """Stands in for the executor's ``os`` module: every ``write`` lands
+    only its first ``keep`` bytes on disk and then fails — a disk that
+    fills up mid-append."""
+
+    def __init__(self, keep):
+        self.keep = keep
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        os.write(fd, bytes(data[: self.keep]))
+        raise OSError("disk full (injected)")
+
+
+class _FailingOs:
+    """Stands in for the executor's ``os`` module with one function,
+    ``name``, that always fails."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, name):
+        if name == self.name:
+            def fail(*args, **kwargs):
+                raise OSError(f"{name} failed (injected)")
+            return fail
+        return getattr(os, name)
+
+
 class TestCrashSafety:
     def test_save_fault_leaves_previous_contents_intact(
         self, testbed, tmp_path, monkeypatch
     ):
-        """A crash mid-save (fault-injected serializer) must leave the
-        previous on-disk store readable and no temp litter behind."""
+        """A crash mid-append (a write that lands a prefix, then fails)
+        must leave the previous on-disk store readable, with no torn bytes
+        and no temp litter behind."""
         path = str(tmp_path / "results.json")
         tiny = ExperimentScale(configs=1, duration=4.0, warmup=1.5)
         store = ResultStore(path, testbed_seed=1)
         run_inrange_senders(testbed, tiny, store=store)
         intact = len(store)
         assert intact > 0
+        before = (tmp_path / "results.json").read_bytes()
 
         spec = build_inrange_senders(testbed, tiny)
         extra = run_trial(testbed, spec.trials[0])
@@ -285,21 +326,44 @@ class TestCrashSafety:
             )
         )
 
-        def exploding_dump(obj, fh, **kwargs):
-            fh.write('{"truncated', )
-            raise OSError("disk full (injected)")
-
-        monkeypatch.setattr(
-            "repro.experiments.executor.json.dump", exploding_dump
-        )
+        monkeypatch.setattr("repro.experiments.executor.os", _TearingOs(11))
         with pytest.raises(OSError):
             store.save()
         monkeypatch.undo()
 
+        assert (tmp_path / "results.json").read_bytes() == before
         reloaded = ResultStore(path, testbed_seed=1)
         assert len(reloaded) == intact  # previous save, bit-for-bit readable
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_full_write_leaves_previous_contents_intact(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """The temp-file + rename full write (here: a legacy file's first
+        save) failing before or at the rename must leave the old bytes in
+        place and remove its temp file; the retry then upgrades it."""
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(
+            {"testbed_seed": 1, "experiment": "old",
+             "trials": [_fake_result(i).to_json() for i in range(2)]}))
+        before = path.read_bytes()
+        store = ResultStore(str(path), testbed_seed=1)
+        store.put(_fake_result(2))
+
+        monkeypatch.setattr("repro.experiments.executor.os",
+                            _FailingOs(failing))
+        with pytest.raises(OSError):
+            store.save()
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+        assert len(ResultStore(str(path), testbed_seed=1)) == 2
+        store.save()
+        assert ResultStore(str(path)).results() == [
+            _fake_result(i) for i in range(3)]
 
     def test_uncooperative_backend_failure_still_persists(
         self, testbed, tmp_path
@@ -331,6 +395,150 @@ class TestCrashSafety:
         reloaded = ResultStore(path, testbed_seed=1)
         assert len(reloaded) == 1
         assert reloaded.get(good) is not None
+
+
+def _fake_result(i):
+    return TrialResult(f"t/{i}", {(0, 1): float(i)}, {"k": i}, f"fp{i}")
+
+
+def _journal_lines(path):
+    with open(path, "rb") as f:
+        return f.read().split(b"\n")
+
+
+class TestJournal:
+    """The store's on-disk journal: append-only saves, and what a crash
+    at any byte of an append leaves behind."""
+
+    def _saved(self, path, n):
+        store = ResultStore(str(path), testbed_seed=1, experiment="e")
+        for i in range(n):
+            store.put(_fake_result(i))
+            store.save()
+        return store
+
+    def test_saves_append_in_place(self, tmp_path):
+        path = tmp_path / "s.json"
+        self._saved(path, 1)
+        inode, first = os.stat(path).st_ino, path.read_bytes()
+        store = ResultStore(str(path))
+        store.put(_fake_result(1))
+        store.save()
+        store.save()  # nothing unsaved: no bytes written
+        data = path.read_bytes()
+        assert os.stat(path).st_ino == inode  # appended, not replaced
+        assert data.startswith(first)
+        assert data.count(b"\n") == first.count(b"\n") + 1
+        head = json.loads(data.split(b"\n")[0])
+        assert head == {"testbed_seed": 1, "experiment": "e"}
+        assert ResultStore(str(path)).results() == [
+            _fake_result(0), _fake_result(1)]
+
+    def test_torn_final_line_ignored_then_removed_by_next_save(self,
+                                                               tmp_path):
+        path = tmp_path / "s.json"
+        self._saved(path, 3)
+        with open(path, "ab") as f:
+            f.write(b'{"trial_id": "t/3", "flow_m')  # crash mid-append
+        store = ResultStore(str(path))
+        assert [r.trial_id for r in store.results()] == ["t/0", "t/1", "t/2"]
+        store.put(_fake_result(3))
+        store.save()
+        lines = _journal_lines(path)
+        assert lines[-1] == b""  # ends on a complete record
+        assert [json.loads(x) for x in lines[:-1]][1:] == [
+            _fake_result(i).to_json() for i in range(4)]
+        assert len(ResultStore(str(path))) == 4
+
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        path = tmp_path / "s.json"
+        self._saved(path, 3)
+        lines = _journal_lines(path)
+        lines[2] = b'{"trial_id": "t/1", garbage'
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match="corrupt record on line 3"):
+            ResultStore(str(path))
+
+    def test_partial_append_rolls_back_and_retry_lands_once(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "s.json"
+        store = self._saved(path, 2)
+        before = path.read_bytes()
+        store.put(_fake_result(2))
+        monkeypatch.setattr("repro.experiments.executor.os", _TearingOs(7))
+        with pytest.raises(OSError, match="injected"):
+            store.save()
+        monkeypatch.undo()
+        assert path.read_bytes() == before  # no torn bytes left behind
+        assert len(ResultStore(str(path))) == 2
+
+        store.save()  # the retry
+        records = [json.loads(x) for x in _journal_lines(path)[1:-1]]
+        assert [r["trial_id"] for r in records] == ["t/0", "t/1", "t/2"]
+        assert ResultStore(str(path)).results() == [
+            _fake_result(i) for i in range(3)]
+
+    def test_save_fault_hook_fires_before_any_byte(self, tmp_path):
+        path = tmp_path / "s.json"
+        store = self._saved(path, 1)
+        before = path.read_bytes()
+
+        def hook(site, key):
+            assert (site, key) == ("store.save", str(path))
+            raise OSError("injected store write failure")
+
+        store.fault_hook = hook
+        store.put(_fake_result(1))
+        with pytest.raises(OSError):
+            store.save()
+        assert path.read_bytes() == before
+        store.fault_hook = None
+        store.save()
+        assert len(ResultStore(str(path))) == 2
+
+    def test_legacy_single_object_file_loads_and_upgrades(self, tmp_path):
+        path = tmp_path / "s.json"
+        legacy = {"testbed_seed": 4, "experiment": "old",
+                  "trials": [_fake_result(i).to_json() for i in range(2)]}
+        path.write_text(json.dumps(legacy))
+        store = ResultStore(str(path), testbed_seed=4)
+        assert store.experiment == "old"
+        assert store.results() == [_fake_result(0), _fake_result(1)]
+        store.put(_fake_result(2))
+        store.save()
+        lines = _journal_lines(path)
+        assert json.loads(lines[0]) == {"testbed_seed": 4,
+                                        "experiment": "old"}
+        assert len(lines) == 5  # header + 3 records + the final newline
+        assert ResultStore(str(path)).results() == [
+            _fake_result(i) for i in range(3)]
+
+    def test_header_change_rewrites_the_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        store = ResultStore(str(path))
+        store.put(_fake_result(0))
+        store.save()
+        store.testbed_seed = 3  # bound late, as run_experiment does
+        store.save()
+        reloaded = ResultStore(str(path))
+        assert reloaded.testbed_seed == 3 and len(reloaded) == 1
+
+    def test_rebuild_from_stores_ingests_both_formats(self, tmp_path):
+        from repro.service.runtable import RunTable
+
+        stores = tmp_path / "stores"
+        stores.mkdir()
+        self._saved(stores / "new.json", 3)
+        (stores / "old.json").write_text(json.dumps(
+            {"testbed_seed": 1, "experiment": "legacy",
+             "trials": [_fake_result(i).to_json() for i in range(2)]}))
+        rt = RunTable(str(tmp_path / "runs.sqlite"))
+        try:
+            assert rt.rebuild_from_stores(str(stores)) == 5
+            assert rt.counts_by_experiment() == {"e": 3, "legacy": 2}
+        finally:
+            rt.close()
 
 
 class TestMacRegistry:
