@@ -8,6 +8,12 @@ the persisted per-trial result JSON and the rendered figure report
 **byte for byte**. Any divergence means a kernel broke the lockstep /
 grid-exactness contracts (see DESIGN.md "Kernels") and fails the job.
 
+It also diffs the link census: ``float.hex`` of every directed pair's
+``(src, dst, rss_dbm, prr)`` for testbed seeds 1 and 11, each backend in
+a fresh interpreter. The census bisects the chunk kernel's saturated
+regions out of its fading quadrature, so any drift there fails here
+before it can move a scenario draw.
+
 Usage::
 
     python benchmarks/check_kernel_parity.py [--backend python]
@@ -59,6 +65,40 @@ def run_fig12(backend: str, out_path: str) -> bytes:
     return proc.stdout
 
 
+#: Testbed seeds whose link census is diffed between backends.
+CENSUS_SEEDS = (1, 11)
+
+_CENSUS_SCRIPT = """
+import sys
+from repro.net.testbed import Testbed
+
+for seed in map(int, sys.argv[1:]):
+    for ls in Testbed(seed).links.all_links():
+        print(seed, ls.src, ls.dst, ls.rss_dbm.hex(), ls.prr.hex())
+"""
+
+
+def run_census(backend: str) -> bytes:
+    """The census of every seed in ``CENSUS_SEEDS``, one line per directed
+    pair, computed in a fresh interpreter under ``backend``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    env["REPRO_KERNEL_BACKEND"] = backend
+    proc = subprocess.run(
+        [sys.executable, "-c", _CENSUS_SCRIPT, *map(str, CENSUS_SEEDS)],
+        env=env,
+        cwd=REPO,
+        capture_output=True,
+        timeout=600,
+    )
+    if proc.returncode != 0:
+        sys.stderr.buffer.write(proc.stderr)
+        raise SystemExit(
+            f"link census failed under backend {backend!r} (exit {proc.returncode})"
+        )
+    return proc.stdout
+
+
 #: Elapsed-wall-clock annotations in the rendered report (e.g. ``[2.8s]``)
 #: are the one legitimately nondeterministic part of the output.
 _WALL_CLOCK = re.compile(rb"\[\d+(?:\.\d+)?s\]")
@@ -87,8 +127,21 @@ def main(argv=None) -> int:
             ref_json = fh.read()
         with open(cur_path, "rb") as fh:
             cur_json = fh.read()
+    ref_census = run_census("scalar")
+    cur_census = run_census(args.backend)
 
     failed = False
+    if ref_census != cur_census:
+        print(
+            f"KERNEL PARITY VIOLATION: link census differs between scalar "
+            f"and {args.backend} (seeds {CENSUS_SEEDS})"
+        )
+        for a, b in zip(ref_census.splitlines(), cur_census.splitlines()):
+            if a != b:
+                print(f"  scalar : {a!r}")
+                print(f"  {args.backend}: {b!r}")
+                break
+        failed = True
     if ref_json != cur_json:
         print(
             f"KERNEL PARITY VIOLATION: per-trial results differ between "
@@ -115,7 +168,8 @@ def main(argv=None) -> int:
     print(
         f"kernel parity ok: fig12 smoke is byte-identical under "
         f"scalar and {args.backend} ({len(ref_json)} bytes of trial "
-        f"results, {len(ref_report)} bytes of report)"
+        f"results, {len(ref_report)} bytes of report, "
+        f"{len(ref_census.splitlines())} census lines)"
     )
     return 0
 

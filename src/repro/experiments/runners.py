@@ -17,7 +17,6 @@ CDF, 500 triples, 10 trials per N, 100 s runs).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -139,8 +138,8 @@ def build_single_link_calibration(
     links = testbed.links
     pair = None
     for a in links.node_ids:
-        for b in links.node_ids:
-            if a != b and links.potential_tx_link(a, b) and links.strong_signal(a, b):
+        for b in links.potential_tx_neighbours(a):
+            if links.strong_signal(a, b):
                 pair = (a, b)
                 break
         if pair:
@@ -919,12 +918,7 @@ def build_header_trailer_density(
     """Fig. 19: N concurrent saturated CMAP flows on random potential
     transmission links; collect P(header or trailer) at each receiver."""
     scale = scale or ExperimentScale()
-    links = testbed.links
-    tx_links = [
-        (a, b)
-        for a, b in itertools.permutations(links.node_ids, 2)
-        if links.potential_tx_link(a, b)
-    ]
+    tx_links = testbed.links.potential_tx_links()
     rng = testbed.rngs.fork("htdensity", seed).stream("sample")
     trials: List[TrialSpec] = []
     trial_n: List[int] = []

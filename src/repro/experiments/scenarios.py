@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -63,12 +63,36 @@ def _sample(items: List, count: int, rng: np.random.Generator) -> List:
     return [items[i] for i in sorted(idx)]
 
 
-def _potential_tx_links(links: LinkTable) -> List[Tuple[int, int]]:
-    return [
-        (a, b)
-        for a, b in itertools.permutations(links.node_ids, 2)
-        if links.potential_tx_link(a, b)
-    ]
+def _sample_pairs(
+    quads: List[Tuple[int, int, int, int]], count: int, rng: np.random.Generator
+) -> List[PairConfig]:
+    """:func:`_sample` over (s1, r1, s2, r2) tuples; only the chosen ones
+    become :class:`PairConfig` objects."""
+    return [PairConfig(*q) for q in _sample(quads, count, rng)]
+
+
+def _inrange_pairs(
+    links: LinkTable, receivers: Callable[[int], Tuple[int, ...]]
+) -> Iterator[Tuple[int, int, int, int]]:
+    """Node-disjoint (s1, r1, s2, r2) with senders in range of each other
+    and both links drawn from ``receivers(sender)`` (a tuple in
+    ``node_ids`` order).
+
+    The order is that of the naive scan, ``permutations(link_list, 2)``
+    over the links sorted by (sender, receiver) position. For a fixed
+    first link, that scan meets the second links sender by sender, so
+    walking ``s2`` over ``node_ids`` and then ``receivers(s2)`` visits the
+    same tuples in the same order while skipping senders out of range.
+    """
+    ids = links.node_ids
+    for s1 in ids:
+        for r1 in receivers(s1):
+            for s2 in ids:
+                if s2 == r1 or not links.in_range(s1, s2):
+                    continue
+                for r2 in receivers(s2):
+                    if r2 != s1 and r2 != r1:
+                        yield s1, r1, s2, r2
 
 
 # ----------------------------------------------------------------------
@@ -87,23 +111,21 @@ def find_exposed_terminal_configs(
     (iv) every other inter-node signal weak (below 90th pct).
     """
     links = testbed.links
-    strong_links = [
-        (a, b) for a, b in _potential_tx_links(links) if links.strong_signal(a, b)
-    ]
-    out: List[PairConfig] = []
-    for (s1, r1), (s2, r2) in itertools.permutations(strong_links, 2):
-        if len({s1, r1, s2, r2}) != 4:
-            continue
-        if not links.in_range(s1, s2):
-            continue
-        cross = [(s1, r2), (s2, r1), (r1, r2), (r2, r1), (r1, s2), (r2, s1),
-                 (s1, s2), (s2, s1)]
-        if all(links.weak_signal(a, b) for a, b in cross):
-            out.append(PairConfig(s1, r1, s2, r2))
-            if len(out) >= max_candidates:
-                break
+    weak = links.weak_signal
+    strong_receivers = {
+        a: tuple(b for b in links.potential_tx_neighbours(a)
+                 if links.strong_signal(a, b))
+        for a in links.node_ids
+    }
+    candidates = (
+        (s1, r1, s2, r2)
+        for s1, r1, s2, r2 in _inrange_pairs(links, strong_receivers.__getitem__)
+        if weak(s1, r2) and weak(s2, r1) and weak(r1, r2) and weak(r2, r1)
+        and weak(r1, s2) and weak(r2, s1) and weak(s1, s2) and weak(s2, s1)
+    )
+    out = list(itertools.islice(candidates, max_candidates))
     rng = testbed.rngs.fork("scenario", "exposed", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_pairs(out, count, rng)
 
 
 # ----------------------------------------------------------------------
@@ -119,22 +141,31 @@ def find_inrange_configs(
     potential transmission links, no further constraints (some will be
     exposed terminals, some will conflict)."""
     links = testbed.links
-    tx_links = _potential_tx_links(links)
-    out: List[PairConfig] = []
-    for (s1, r1), (s2, r2) in itertools.permutations(tx_links, 2):
-        if len({s1, r1, s2, r2}) != 4:
-            continue
-        if links.in_range(s1, s2):
-            out.append(PairConfig(s1, r1, s2, r2))
-            if len(out) >= max_candidates:
-                break
+    candidates = _inrange_pairs(links, links.potential_tx_neighbours)
+    out = list(itertools.islice(candidates, max_candidates))
     rng = testbed.rngs.fork("scenario", "inrange", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_pairs(out, count, rng)
 
 
 # ----------------------------------------------------------------------
 # Fig. 11(c): hidden terminals (§5.5)
 # ----------------------------------------------------------------------
+def _hidden_pairs(links: LinkTable) -> Iterator[Tuple[int, int, int, int]]:
+    """Fig. 11(c) tuples in the order of the naive scan: sender pairs by
+    ``combinations(node_ids, 2)``, receiver pairs by ``permutations`` over
+    the nodes with a potential-tx link to both senders (kept in
+    ``node_ids`` order; the links are irreflexive, so no sender is one)."""
+    for s1, s2 in itertools.combinations(links.node_ids, 2):
+        if not links.out_of_range(s1, s2):
+            continue
+        common = [
+            r for r in links.potential_tx_neighbours(s1)
+            if links.potential_tx_link(s2, r)
+        ]
+        for r1, r2 in itertools.permutations(common, 2):
+            yield s1, r1, s2, r2
+
+
 def find_hidden_terminal_configs(
     testbed: Testbed,
     count: int,
@@ -146,27 +177,9 @@ def find_hidden_terminal_configs(
     interfere at the receivers) while the senders are not in range of each
     other (so they cannot defer)."""
     links = testbed.links
-    out: List[PairConfig] = []
-    ids = links.node_ids
-    for s1, s2 in itertools.combinations(ids, 2):
-        if not links.out_of_range(s1, s2):
-            continue
-        for r1, r2 in itertools.permutations(ids, 2):
-            if len({s1, s2, r1, r2}) != 4:
-                continue
-            if (
-                links.potential_tx_link(s1, r1)
-                and links.potential_tx_link(s2, r1)
-                and links.potential_tx_link(s1, r2)
-                and links.potential_tx_link(s2, r2)
-            ):
-                out.append(PairConfig(s1, r1, s2, r2))
-                if len(out) >= max_candidates:
-                    break
-        if len(out) >= max_candidates:
-            break
+    out = list(itertools.islice(_hidden_pairs(links), max_candidates))
     rng = testbed.rngs.fork("scenario", "hidden", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_pairs(out, count, rng)
 
 
 def prr_at_rate(testbed: Testbed, a: int, b: int, mbps: int,
@@ -228,7 +241,7 @@ def find_hidden_interferer_triples(
     receiver of its own (any node in range, else broadcast-style neighbour).
     """
     links = testbed.links
-    tx_links = _potential_tx_links(links)
+    tx_links = links.potential_tx_links()
     if not tx_links:
         raise ScenarioError("testbed has no potential transmission links")
     rng = testbed.rngs.fork("scenario", "interferer", seed).stream("sample")
@@ -243,8 +256,9 @@ def find_hidden_interferer_triples(
             continue
         # The interferer needs somewhere to send its packets; prefer a
         # potential-tx neighbour, else its best-PRR neighbour.
-        partners = [b for b in ids if b not in (s, r, i)
-                    and links.potential_tx_link(i, b)]
+        partners = [
+            b for b in links.potential_tx_neighbours(i) if b not in (s, r)
+        ]
         if partners:
             ir = partners[int(rng.integers(0, len(partners)))]
         else:
@@ -277,17 +291,10 @@ def find_mobility_configs(
     and conflict-free geometries; the link census only describes time zero.
     """
     links = testbed.links
-    tx_links = _potential_tx_links(links)
-    out: List[PairConfig] = []
-    for (s1, r1), (s2, r2) in itertools.permutations(tx_links, 2):
-        if len({s1, r1, s2, r2}) != 4:
-            continue
-        if links.in_range(s1, s2):
-            out.append(PairConfig(s1, r1, s2, r2))
-            if len(out) >= max_candidates:
-                break
+    candidates = _inrange_pairs(links, links.potential_tx_neighbours)
+    out = list(itertools.islice(candidates, max_candidates))
     rng = testbed.rngs.fork("scenario", "mobility", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_pairs(out, count, rng)
 
 
 def find_disjoint_flows(
@@ -301,8 +308,7 @@ def find_disjoint_flows(
     The churn sweep's substrate: enough concurrent flows that one sender
     joining/leaving visibly re-shapes everyone else's conflict relations.
     """
-    links = testbed.links
-    tx_links = _potential_tx_links(links)
+    tx_links = testbed.links.potential_tx_links()
     if not tx_links:
         raise ScenarioError("testbed has no potential transmission links")
     rng = testbed.rngs.fork("scenario", "churn", seed).stream("sample")
@@ -452,7 +458,7 @@ def find_mesh_topologies(
     while len(out) < count and attempts < 300 * count:
         attempts += 1
         s = ids[int(rng.integers(0, len(ids)))]
-        neighbours = [a for a in ids if a != s and links.potential_tx_link(s, a)]
+        neighbours = links.potential_tx_neighbours(s)
         if len(neighbours) < fanout:
             continue
         picks = rng.choice(len(neighbours), size=fanout, replace=False)
@@ -463,9 +469,8 @@ def find_mesh_topologies(
         for a in forwarders:
             dist_sa = positions[s].distance_to(positions[a])
             cands = [
-                b for b in ids
+                b for b in links.potential_tx_neighbours(a)
                 if b not in used
-                and links.potential_tx_link(a, b)
                 and positions[s].distance_to(positions[b]) > dist_sa
             ]
             if not cands:

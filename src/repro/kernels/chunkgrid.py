@@ -35,7 +35,8 @@ kernel build rather than silently mis-scoring.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, Optional, Sequence, Tuple
 
 #: Waterfall-argument bound below which chunk success is exactly 0.0.
 X_ZERO = -0.5
@@ -118,6 +119,29 @@ class ChunkKernel:
             if idx is not None:
                 return self.grid_success[idx]
         return self.chunk(sinr_db, bits)
+
+    def waterfall(
+        self, sinr_db: float, fades: Sequence[float], bits: float
+    ) -> Tuple[int, int]:
+        """Index range ``[lo, hi)`` of a non-decreasing fade table whose
+        SINRs ``sinr_db + fade`` lie on the waterfall.
+
+        ``chunk(sinr_db + fades[i], bits)`` is exactly 0.0 for ``i < lo``
+        and exactly 1.0 for ``i >= hi`` (the regions of :meth:`lookup`);
+        fading-averaged PRR loops call the closure only in between.
+        Floating-point addition is monotone, so the shifted table stays
+        sorted and two bisections find both edges. Without regions (or
+        for a bit count the proofs do not cover) the range is the whole
+        table.
+        """
+        if not 0.0 < bits <= self.bits_safe:
+            return 0, len(fades)
+
+        def key(fade: float) -> float:
+            return sinr_db + fade
+
+        lo = bisect_right(fades, self.sinr_zero_db, key=key)
+        return lo, bisect_left(fades, self.sinr_one_db, lo, key=key)
 
 
 def null_chunk_kernel(chunk: Callable[[float, float], float]) -> ChunkKernel:

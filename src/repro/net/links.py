@@ -85,6 +85,40 @@ class LinkTable:
             float(np.percentile(connected, 90)) if connected else -200.0
         )
         self._connectivity_floor = connectivity_floor_prr
+        self._classify()
+
+    def _classify(self) -> None:
+        """Evaluate the §5.1 classification once for every ordered pair.
+
+        The predicates below are lookups into these frozen sets, and the
+        scenario finders walk the per-node potential-tx adjacency instead
+        of testing every node tuple.
+        """
+        stats = self._stats
+        p10, p90 = self.signal_p10_dbm, self.signal_p90_dbm
+        in_range, out_of_range, tx, strong, weak = set(), set(), set(), set(), set()
+        # The sets share the stats dict's key tuples instead of new ones.
+        for pair, ab in stats.items():
+            ba = stats[(ab.dst, ab.src)]
+            if ab.prr > 0.2 and ab.rss_dbm > p10 and ba.prr > 0.2 and ba.rss_dbm > p10:
+                in_range.add(pair)
+            if ab.prr < 0.2 and ba.prr < 0.2:
+                out_of_range.add(pair)
+            if ab.prr > 0.9 and ab.rss_dbm > p10 and ba.prr > 0.9 and ba.rss_dbm > p10:
+                tx.add(pair)
+            if ab.rss_dbm >= p90:
+                strong.add(pair)
+            if ab.rss_dbm < p90:
+                weak.add(pair)
+        self._in_range = frozenset(in_range)
+        self._out_of_range = frozenset(out_of_range)
+        self._tx = frozenset(tx)
+        self._strong = frozenset(strong)
+        self._weak = frozenset(weak)
+        self._tx_adjacency: Dict[int, Tuple[int, ...]] = {
+            a: tuple(b for b in self.node_ids if (a, b) in tx)
+            for a in self.node_ids
+        }
 
     # ------------------------------------------------------------------
     # Raw accessors
@@ -113,29 +147,33 @@ class LinkTable:
 
     def in_range(self, a: int, b: int) -> bool:
         """Both directions PRR > 0.2 and signal above the 10th percentile."""
-        return all(
-            self.prr(x, y) > 0.2 and self.rss(x, y) > self.signal_p10_dbm
-            for x, y in ((a, b), (b, a))
-        )
+        return (a, b) in self._in_range
 
     def out_of_range(self, a: int, b: int) -> bool:
         """PRR < 0.2 in both directions (Fig. 11(c) 'not in range')."""
-        return self.prr(a, b) < 0.2 and self.prr(b, a) < 0.2
+        return (a, b) in self._out_of_range
 
     def potential_tx_link(self, a: int, b: int) -> bool:
         """Both directions PRR > 0.9 and signal above the 10th percentile."""
-        return all(
-            self.prr(x, y) > 0.9 and self.rss(x, y) > self.signal_p10_dbm
-            for x, y in ((a, b), (b, a))
-        )
+        return (a, b) in self._tx
 
     def strong_signal(self, a: int, b: int) -> bool:
         """Signal a->b in the 90th percentile of all links network-wide."""
-        return self.rss(a, b) >= self.signal_p90_dbm
+        return (a, b) in self._strong
 
     def weak_signal(self, a: int, b: int) -> bool:
         """Signal a->b below the 90th percentile threshold."""
-        return self.rss(a, b) < self.signal_p90_dbm
+        return (a, b) in self._weak
+
+    def potential_tx_neighbours(self, a: int) -> Tuple[int, ...]:
+        """Nodes b with a potential transmission link a->b, in ``node_ids``
+        order."""
+        return self._tx_adjacency[a]
+
+    def potential_tx_links(self) -> List[Tuple[int, int]]:
+        """Every potential transmission link (a, b), in the order
+        ``itertools.permutations(node_ids, 2)`` visits them."""
+        return [(a, b) for a in self.node_ids for b in self._tx_adjacency[a]]
 
     # ------------------------------------------------------------------
     # Census (paper §5.1 testbed characterisation)

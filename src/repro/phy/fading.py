@@ -21,7 +21,13 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.phy.modulation import ErrorModel, Rate
+from repro.phy.modulation import (
+    ErrorModel,
+    Rate,
+    census_kernel,
+    check_non_decreasing,
+    fade_average,
+)
 from repro.util.rng import stable_hash
 from repro.util.units import sinr_db as _sinr_db
 
@@ -39,7 +45,7 @@ def _gaussian_grid(points: int = 81, span_sigmas: float = 4.5):
     xs = np.linspace(-span_sigmas, span_sigmas, points)
     pdf = np.exp(-0.5 * xs**2)
     weights = pdf / pdf.sum()
-    return xs, weights
+    return xs.tolist(), weights.tolist()
 
 
 class FadingModel:
@@ -106,7 +112,10 @@ class GaussianBlockFading(FadingModel):
         # A zero-sigma model degenerates to the static channel: samplers
         # return 0.0 without touching the stream (see pair_sampler).
         self.RNG_FREE = sigma_db == 0.0
-        self._nodes, self._weights = _gaussian_grid()
+        nodes, self._weights = _gaussian_grid()
+        self._fades = check_non_decreasing(
+            [sigma_db * x for x in nodes], "Gaussian fade table"
+        )
 
     def draw_db(self, rng: np.random.Generator, a: int, b: int) -> float:
         if self.sigma_db == 0.0:
@@ -125,12 +134,13 @@ class GaussianBlockFading(FadingModel):
 
     def mean_prr(self, rss_dbm, noise_dbm, rate, size_bytes, error_model, a, b):
         s = _sinr_db(rss_dbm, -400.0, noise_dbm)
-        total = 0.0
-        for x, w in zip(self._nodes, self._weights):
-            total += w * error_model.frame_success(
-                s + self.sigma_db * float(x), rate, size_bytes
-            )
-        return float(total)
+        return fade_average(
+            census_kernel(error_model, rate),
+            s,
+            self._fades,
+            self._weights,
+            8.0 * size_bytes,
+        )
 
 
 class LosNlosMixtureFading(FadingModel):
@@ -154,9 +164,20 @@ class LosNlosMixtureFading(FadingModel):
         # Quadratures: dense Gaussian grid for LOS; for the NLOS exponential
         # power gain a dense grid over quantiles (exact inverse-CDF samples)
         # is likewise more robust on the steep PER sigmoid than Laguerre.
-        self._h_nodes, self._h_weights = _gaussian_grid()
+        # Both fade tables are sorted, so the census can bisect them for
+        # the waterfall (see repro.phy.modulation.fade_average).
+        h_nodes, self._h_weights = _gaussian_grid()
+        self._los_fades = check_non_decreasing(
+            [los_sigma_db * x for x in h_nodes], "LOS fade table"
+        )
         qs = (np.arange(200) + 0.5) / 200.0
-        self._nlos_gains = -np.log1p(-qs)  # Exp(1) quantiles
+        nlos_gains = -np.log1p(-qs)  # Exp(1) quantiles
+        self._nlos_fades = check_non_decreasing(
+            [max(_FADE_FLOOR_DB, 10.0 * math.log10(float(g))) for g in nlos_gains],
+            "NLOS fade table",
+        )
+        # Unit weights: 1.0 * p == p, so the weighted sum is the plain one.
+        self._nlos_weights = [1.0] * len(self._nlos_fades)
 
     # ------------------------------------------------------------------
     def is_los(self, a: int, b: int) -> bool:
@@ -202,15 +223,9 @@ class LosNlosMixtureFading(FadingModel):
 
     def mean_prr(self, rss_dbm, noise_dbm, rate, size_bytes, error_model, a, b):
         s = _sinr_db(rss_dbm, -400.0, noise_dbm)
+        kernel = census_kernel(error_model, rate)
+        bits = 8.0 * size_bytes
         if self.is_los(a, b):
-            total = 0.0
-            for x, w in zip(self._h_nodes, self._h_weights):
-                total += w * error_model.frame_success(
-                    s + self.los_sigma_db * float(x), rate, size_bytes
-                )
-            return float(total)
-        total = 0.0
-        for g in self._nlos_gains:
-            fade = max(_FADE_FLOOR_DB, 10.0 * math.log10(float(g)))
-            total += error_model.frame_success(s + fade, rate, size_bytes)
-        return float(min(1.0, total / len(self._nlos_gains)))
+            return fade_average(kernel, s, self._los_fades, self._h_weights, bits)
+        total = fade_average(kernel, s, self._nlos_fades, self._nlos_weights, bits)
+        return float(min(1.0, total / len(self._nlos_fades)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: erfc^-1(2 * ber50) for a 1400-byte (11200-bit) frame at 50 % success:
 #: ber50 = 1 - 0.5**(1/11200) = 6.188e-5; erfcinv(1.2376e-4) = 2.7140.
@@ -239,9 +239,58 @@ def _gauss_hermite():
         import numpy as np
 
         nodes, weights = np.polynomial.hermite_e.hermegauss(17)
-        _GH_NODES = nodes
-        _GH_WEIGHTS = weights / weights.sum()
+        # sigma * x keeps this order for any sigma > 0 (rounding is
+        # monotone), so every fade table built from it can be bisected.
+        _GH_NODES = check_non_decreasing(nodes.tolist(), "Gauss-Hermite nodes")
+        _GH_WEIGHTS = (weights / weights.sum()).tolist()
     return _GH_NODES, _GH_WEIGHTS
+
+
+def check_non_decreasing(table: List[float], what: str) -> List[float]:
+    """Return ``table`` after checking it is sorted (see :func:`fade_average`)."""
+    if any(a > b for a, b in zip(table, table[1:])):
+        raise ValueError(f"{what} must be non-decreasing")
+    return table
+
+
+def census_kernel(error_model: ErrorModel, rate: Rate):
+    """``error_model.chunk_kernel(rate)``, built once per model, rate and
+    backend for the link census (kernel construction evaluates hundreds of
+    closure calls; a census asks for it once per pair)."""
+    from repro.kernels.backend import get_backend
+
+    cache = error_model.__dict__.setdefault("_census_kernels", {})
+    key = (rate, get_backend().chunk_grids)
+    kernel = cache.get(key)
+    if kernel is None:
+        kernel = cache[key] = error_model.chunk_kernel(rate)
+    return kernel
+
+
+def fade_average(
+    kernel,
+    sinr_db: float,
+    fades: Sequence[float],
+    weights: Sequence[float],
+    bits: float,
+) -> float:
+    """``sum(w * chunk(sinr_db + f, bits))`` over a non-decreasing fade
+    table, accumulated in table order — evaluating the closure only on the
+    waterfall (:meth:`ChunkKernel.waterfall`).
+
+    Bit-identical to the full loop: the skipped zero-region terms are
+    ``w * 0.0 == 0.0`` and sit before every other term, so adding them
+    leaves the running total (still ``0.0``) unchanged; each one-region
+    term ``w * 1.0`` is exactly ``w``, added in the same position.
+    """
+    chunk = kernel.chunk
+    lo, hi = kernel.waterfall(sinr_db, fades, bits)
+    total = 0.0
+    for i in range(lo, hi):
+        total += weights[i] * chunk(sinr_db + fades[i], bits)
+    for i in range(hi, len(fades)):
+        total += weights[i]
+    return total
 
 
 def isolated_prr(
@@ -266,12 +315,10 @@ def isolated_prr(
     if fading_sigma_db <= 0.0:
         return error_model.frame_success(s, rate, size_bytes)
     nodes, weights = _gauss_hermite()
-    total = 0.0
-    for x, w in zip(nodes, weights):
-        total += w * error_model.frame_success(
-            s + fading_sigma_db * float(x), rate, size_bytes
-        )
-    return float(total)
+    fades = [fading_sigma_db * x for x in nodes]
+    return fade_average(
+        census_kernel(error_model, rate), s, fades, weights, 8.0 * size_bytes
+    )
 
 
 def expected_links_classification(prr: float) -> Tuple[bool, bool]:
