@@ -22,7 +22,7 @@ mid-job and a restarted server resumes the job to ``done`` — with the
 final rows still bit-identical to the serial reference.
 
 With ``--workers`` the sweep is executed by a *remote fleet* instead of
-the server's local threads: two ``python -m repro.cli work`` daemons
+the server's in-process worker: two ``python -m repro.cli work`` daemons
 (running the canned ``worker-chaos`` transport fault plan) lease the job
 over HTTP, and the gate SIGKILLs whichever worker holds the lease as soon
 as its first row lands. The lease must be reaped, the survivor must
@@ -329,8 +329,9 @@ def run_workers(args, env) -> int:
     mid-job.
 
     Proves the partition-tolerance story end to end, across real
-    processes: the killed worker's lease is reaped by the (stood-down)
-    local thread, the surviving daemon re-leases the job with a larger
+    processes: the killed worker's lease is reaped (by the survivor's
+    next poll, or by the server's stood-down in-process worker), the
+    surviving daemon re-leases the job with a larger
     fencing token, the server-side cache sweep spares every trial the
     victim already uploaded, and the run-table ends bit-identical to
     ``SerialBackend`` with exactly one row per trial — despite dropped
@@ -351,7 +352,7 @@ def run_workers(args, env) -> int:
                        for wid in ("fleet-a", "fleet-b")}
 
             # Both daemons registered before the job exists, so the
-            # server's local thread stands down to reaper duty.
+            # server's in-process worker stands down to reaping.
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
                 seen = {w["worker_id"] for w in client.workers()}
@@ -372,7 +373,8 @@ def run_workers(args, env) -> int:
             deadline = time.monotonic() + args.timeout
             while time.monotonic() < deadline:
                 rows = client.runs(experiment=reply["name"], limit=5)["runs"]
-                holders = [r["worker_id"] for r in rows if r["worker_id"]]
+                holders = [r["worker_id"] for r in rows
+                           if r["worker_id"] in workers]
                 if holders:
                     victim = holders[0]
                     break
@@ -401,14 +403,17 @@ def run_workers(args, env) -> int:
 
             rows = client.runs(experiment=spec.name,
                                limit=len(spec.trials) + 10)["runs"]
+            # In-process workers write rows under their own ids too, so
+            # any writer outside the fleet means they did not stand down.
             contributed = {r["worker_id"] for r in rows}
-            if None in contributed:
+            if contributed - set(workers):
                 failures.append(
-                    "local execution ran trials while the fleet was live")
-            if victim is not None and len(contributed - {None}) < 2:
+                    f"in-process workers ran trials while the fleet was "
+                    f"live: {sorted(map(str, contributed - set(workers)))}")
+            if victim is not None and len(contributed & set(workers)) < 2:
                 failures.append(
                     f"expected both workers in the run-table, "
-                    f"got {sorted(c for c in contributed if c)}")
+                    f"got {sorted(map(str, contributed))}")
             if final is not None and final.get("attempt", 0) < 2:
                 failures.append(
                     f"job finished on attempt {final.get('attempt')} — "

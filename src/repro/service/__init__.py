@@ -11,13 +11,15 @@ that absorbs concurrent experiment requests:
   in-memory implementation is single-host, but the interface is
   multi-host-shaped: a worker that dies mid-lease has its job requeued
   when the lease expires.
-* :mod:`repro.service.coordinator` — drains the queue through the
-  executor backends, streams TrialResults into the per-job ResultStore and
-  the run-table as they complete, retries *transient* failures with
-  capped backoff against a per-job budget, quarantines permanent ones,
-  honors priorities/cancellation between trials, deduplicates submits by
-  idempotency key, and crash-resumes open jobs from the fingerprinted
-  store on restart.
+* :mod:`repro.service.coordinator` — leases jobs to workers under fencing
+  tokens and records their uploads into the per-job ResultStore and the
+  run-table; decides cancellation and preemption at trial boundaries,
+  deduplicates submits by idempotency key, and crash-resumes open jobs
+  from the fingerprinted store on restart.
+* :mod:`repro.service.worker` — the one executor: leases a job, runs its
+  trials (retrying *transient* failures, quarantining permanent ones) and
+  streams fenced, idempotent uploads back, over HTTP (``cli work``) or
+  the in-process :mod:`repro.service.transport` (``serve``'s own workers).
 * :mod:`repro.service.runtable` — the sqlite run-table (WAL,
   integrity-checked at open, rebuildable from the flat stores): every
   trial row indexed by (experiment, trial id, fingerprint, seed, wall

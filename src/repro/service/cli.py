@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--data-dir", default="sweep-data",
                        help="run-table + per-job stores (default sweep-data)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="concurrent jobs (default 1)")
+                       help="in-process workers, i.e. concurrent jobs "
+                            "(default 1)")
     serve.add_argument("--trial-jobs", type=int, default=1,
                        help="worker processes per job's trials (default 1)")
     serve.add_argument("--no-resume", dest="resume", action="store_false",
@@ -392,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "is reaped and its job re-leased (default 300)")
     serve.add_argument("--worker-ttl", type=float, default=15.0, metavar="S",
                        help="remote workers silent this long count as "
-                            "gone and local execution resumes (default 15)")
+                            "gone and in-process workers lease again "
+                            "(default 15)")
     serve.add_argument("--fault-plan", default=None, metavar="NAME|PATH",
                        help="inject faults: a canned plan name "
                             "(smoke-chaos, none) or a FaultPlan JSON file")

@@ -1,4 +1,4 @@
-"""The coordinator: drains the job queue through the executor backends.
+"""The coordinator: leases jobs to workers and records what they upload.
 
 One coordinator owns a data directory::
 
@@ -6,40 +6,42 @@ One coordinator owns a data directory::
     <data_dir>/stores/<job>.json  per-job fingerprinted ResultStores
     <data_dir>/faults/            exactly-once tokens for fault plans
 
-Scheduling loop (per worker thread): lease the best job, then walk its
-trials. Between trials the worker re-checks the world — a stop request
-requeues the job, a cancel finalizes it, and a strictly-higher-priority
-arrival preempts it (the job goes back to the queue with its progress
-already persisted, so nothing is lost). Completed trials stream into both
-the job's ResultStore (the fingerprinted resume source of truth) and the
-run-table (the query side) as they finish.
+It executes nothing itself: every trial runs in a
+:class:`~repro.service.worker.Worker`, either a ``cli work`` daemon over
+HTTP or one of the in-process workers that :meth:`Coordinator.start` and
+:meth:`Coordinator.run_once` drive over
+:class:`~repro.service.transport.InProcessTransport`. Both reach the same
+verbs, so each policy has one home. A **lease** grants the best queued
+job under a fresh fencing token after one sweep of its store and
+run-table (:meth:`Coordinator._begin_run`), so a worker only receives
+trials that still need executing. A **record** verifies worker and token
+while extending the lease, deduplicates by (trial_id, fingerprint), then
+appends the result to the store's journal (fsynced) and commits the
+run-table row with the job's counter in one sqlite transaction — the
+per-trial cost does not grow with the job, and counters agree with rows.
+The reply to every record and heartbeat carries the **boundary
+decision** (:meth:`Coordinator.boundary`): continue, yield to a
+strictly-higher-priority job (the worker requeues, its progress already
+persisted) or cancel (the worker acks). The terminal state is computed at
+**ack** from the counters verified uploads built.
 
-Failure policy (see ``repro.errors`` and DESIGN.md "Failure domains"):
-only *transient* failures retry, with capped exponential backoff, against
-a per-job retry budget. Permanent failures — and transient ones once the
-budget is gone, and trials that hang past the watchdog or kill their pool
-worker twice — are **quarantined**: recorded in the run-table with status
-``quarantined`` and their error class, counted on the job, and skipped.
-The job finishes ``done_partial``; one poisoned trial never stalls or
-fails a whole sweep.
-
-Commit path: a finished trial is appended to the job's ResultStore
-journal (fsynced), then its run-table row and the job's counters land in
-one sqlite transaction. Neither write touches anything recorded before
-it, so the per-trial cost does not grow with the job; the job's full
-descriptor is rewritten only on state transitions (submit, lease,
-requeue, finalize), and the counters always agree with the rows.
+Failure policy (see ``repro.errors`` and DESIGN.md "Failure domains")
+travels to the workers in the register handshake
+(:meth:`Coordinator.handshake`): only *transient* failures retry, with
+capped exponential backoff, against a per-trial cap and a per-job budget.
+Permanent failures — and transient ones once the budget is gone, and
+trials that hang past the watchdog or kill their pool worker twice — are
+**quarantined**: recorded with status ``quarantined`` and their error
+class, counted, and skipped, so the job finishes ``done_partial``.
 
 Crash-resume: every state transition is upserted into the run-table, so a
 coordinator that died mid-job leaves a ``running`` row behind.
-:meth:`Coordinator.resume_open_jobs` re-queues those on startup; when the
-job is leased again, one sweep (:meth:`Coordinator._begin_run`) serves
-trials whose (id, fingerprint) already sit in its ResultStore from cache —
-bit-identical, and never re-executed — and skips trials a previous
-incarnation quarantined by their run-table row instead of hanging a
-worker again; the counters it computes are committed with the lease. If
-the run-table itself failed its integrity check at open, the trial rows
-are rebuilt from the flat stores before anything else runs.
+:meth:`Coordinator.resume_open_jobs` re-queues those on startup; the next
+lease's sweep serves trials whose (id, fingerprint) already sit in the
+job's ResultStore from cache — bit-identical, never re-executed — and
+skips trials a previous incarnation quarantined. If the run-table failed
+its integrity check at open, its trial rows are rebuilt from the flat
+stores before anything else runs.
 """
 
 from __future__ import annotations
@@ -47,21 +49,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.errors import (
-    SimulatedCrash,
-    WorkerCrashError,
-    error_class,
-    is_transient,
-)
-from repro.experiments.executor import (
-    ResultStore,
-    SerialBackend,
-    make_backend,
-    run_trial,
-)
+from repro.experiments.executor import ResultStore
 from repro.experiments.spec import ExperimentSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
 from repro.service.faults import FaultPlan
@@ -69,7 +59,6 @@ from repro.service.jobs import (
     CANCELLED,
     DONE,
     DONE_PARTIAL,
-    FAILED,
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
@@ -78,20 +67,26 @@ from repro.service.jobs import (
 )
 from repro.service.queue import InMemoryJobQueue, LeaseLost
 from repro.service.runtable import RunTable
+from repro.service.transport import CANCEL, CONTINUE, YIELD, InProcessTransport
+from repro.service.worker import POLICY, Worker
+
+#: How long an idle in-process worker waits per lease poll — also how
+#: quickly it notices ``stop`` and reaps expired leases while standing down.
+LOCAL_POLL_S = 0.2
 
 
 class Coordinator:
-    """Owns the queue, the run-table, and the worker threads.
+    """Owns the queue, the run-table, and the in-process workers.
 
-    ``trial_jobs`` > 1 fans each job's trials over a process pool in
-    chunks (cancellation/preemption are honored at chunk boundaries);
-    the default 1 runs trials serially with per-trial boundaries.
-    ``trial_timeout_s`` arms the per-trial wall-clock watchdog in whichever
-    backend runs the trial. ``retry_budget`` caps *transient* retries per
-    job; ``max_retries`` caps them per trial. ``fault_plan`` threads a
-    :class:`~repro.service.faults.FaultPlan` through every layer (store,
-    run-table, backends, lease) — None costs nothing. ``sleep`` is
-    injectable so retry-backoff tests need no real waiting.
+    The policy arguments travel to every worker in the handshake:
+    ``trial_jobs`` > 1 fans a job's trials over a process pool in chunks,
+    ``trial_timeout_s`` arms the per-trial watchdog, ``retry_budget`` caps
+    *transient* retries per job and ``max_retries`` per trial.
+    ``fault_plan`` threads a :class:`~repro.service.faults.FaultPlan`
+    through every layer (store, run-table, lease, and the in-process
+    workers' transport and trials) — None costs nothing. ``sleep`` is
+    injectable so retry-backoff tests need no real waiting. An
+    out-of-process worker silent for ``worker_ttl_s`` counts as gone.
     """
 
     def __init__(
@@ -148,13 +143,14 @@ class Coordinator:
         #: Live idempotency-key -> job_id map (the run-table holds the
         #: durable half; this catches submit races before the first upsert).
         self._idem: Dict[str, str] = {}
-        #: Remote worker registry: worker_id -> monotonic last-seen. A
-        #: worker is *active* while its last contact (register, lease poll,
-        #: heartbeat, upload) is younger than ``worker_ttl_s``.
+        #: Out-of-process worker registry: worker_id -> monotonic
+        #: last-seen. A worker is *active* while its last contact
+        #: (register, lease poll, heartbeat, upload) is younger than
+        #: ``worker_ttl_s``. In-process workers never register.
         self._remote_workers: Dict[str, float] = {}
-        #: Per-job remote lease context: job_id -> {worker_id, token,
-        #: store}. Cleared on ack/requeue; a reaped lease leaves a stale
-        #: entry that the queue's verify rejects before it is ever used.
+        #: Per-job lease context: job_id -> {worker_id, token, store,
+        #: lock}. Cleared on ack/requeue; a reaped lease leaves a stale
+        #: entry that the queue's lease check rejects before it is used.
         self._remote: Dict[str, dict] = {}
         self._cond = threading.Condition()
         self._stop = threading.Event()
@@ -229,10 +225,13 @@ class Coordinator:
         return resumed
 
     def start(self, workers: int = 1) -> None:
+        """Run ``workers`` in-process workers (``worker-0``, ...) on daemon
+        threads. They stand down while any out-of-process worker is
+        fresh."""
         for i in range(workers):
+            worker = self._local_worker(f"worker-{i}")
             t = threading.Thread(
-                target=self._worker_loop,
-                args=(f"worker-{i}",),
+                target=worker.run,
                 name=f"sweep-{i}",
                 daemon=True,
             )
@@ -329,168 +328,53 @@ class Coordinator:
                 self._cond.wait(0.5 if remaining is None else min(remaining, 0.5))
 
     # ------------------------------------------------------------------
-    # Execution
+    # In-process workers
     # ------------------------------------------------------------------
     def run_once(self, worker_id: str = "worker-inline") -> Optional[SweepJob]:
-        """Lease and run (at most) one job synchronously — the unit the
-        worker threads loop over, exposed for tests and batch drains."""
-        self.queue.reap_expired()
-        job = self.queue.lease(worker_id, timeout=0, lease_s=self.lease_s)
-        if job is None:
+        """Lease and run at most one job on an in-process worker (tests,
+        batch drains). Returns the job, or None if nothing was leased."""
+        worker = self._local_worker(worker_id)
+        worker.register()
+        if worker.run_one() is None:
             return None
-        try:
-            self._run_job(worker_id, job)
-        except LeaseLost:
-            pass  # reaped mid-run; whoever re-leased the job owns it now
-        return job
+        job_id = worker.client.leased_job_id
+        with self._cond:
+            job = self._jobs.get(job_id)
+        return job if job is not None else self.runtable.get_job(job_id)
 
-    def _worker_loop(self, worker_id: str) -> None:
-        while not self._stop.is_set():
-            self.queue.reap_expired()
-            if self.remote_workers_active():
-                # Degradation ladder, top rung: a live remote fleet owns
-                # execution, so local threads stand down to pure reaper
-                # duty. The moment every remote worker goes stale (crash,
-                # partition) this check fails and local execution resumes —
-                # the service degrades to exactly its single-host behavior.
-                self._stop.wait(0.2)
-                continue
-            job = self.queue.lease(worker_id, timeout=0.2, lease_s=self.lease_s)
-            if job is None:
-                continue
-            if self.remote_workers_active():
-                # A remote worker registered while this thread was blocked
-                # inside lease(): the fleet owns execution now, so hand the
-                # job straight back instead of racing the remote lease.
-                try:
-                    self.queue.requeue(job.job_id, worker_id)
-                except LeaseLost:
-                    pass
-                continue
-            try:
-                self._run_job(worker_id, job)
-            except LeaseLost:
-                continue  # reaped mid-run; the new holder owns the job now
-            except SimulatedCrash:
-                raise  # fault injection: die like a killed coordinator
-            except Exception as exc:  # never kill the worker thread
-                job.error = f"coordinator error: {exc}\n{traceback.format_exc()}"
-                try:
-                    self._finalize(job, FAILED, worker_id=worker_id, ack=True)
-                except LeaseLost:
-                    pass
-
-    def _run_job(self, worker_id: str, job: SweepJob) -> None:
-        if job.cancel_requested:
-            self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
-            return
-        store = self._open_store(job)
-        to_run = self._begin_run(job, store)
-
-        testbed = self.testbed(job.testbed_seed)
-        backend = make_backend(
-            self.trial_jobs,
-            trial_timeout_s=self.trial_timeout_s,
-            fault_plan=self._fault_plan,
-        )
-        serial = isinstance(backend, SerialBackend)
-        chunk_size = 1 if serial else max(2, self.trial_jobs)
-        #: Transient-retry budget shared by every trial of this run.
-        budget = {"left": self.retry_budget}
-
-        index = 0
-        while index < len(to_run):
-            # --- trial/chunk boundary: the scheduling decisions ---------
-            # Heartbeat first: it keeps a job whose trials outlive
-            # ``lease_s`` from being reaped mid-run, and it detects the
-            # lease already having been re-granted — in which case the new
-            # holder owns the job and this worker must not touch it again.
-            if not self._heartbeat(worker_id, job):
-                return
-            if self._stop.is_set():
-                self._requeue(job, worker_id)
-                return
-            if job.cancel_requested:
-                self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
-                return
-            top = self.queue.max_queued_priority()
-            if top is not None and top > job.priority:
-                self._requeue(job, worker_id)
-                return
-
-            pending = to_run[index:index + chunk_size]
-            index += len(pending)
-
-            done_ids: set = set()
-            quarantined_ids: set = set()
-            if not serial and len(pending) > 1:
-                def on_result(res: TrialResult, _store=store) -> None:
-                    _store.put(res)
-                    self._save_store(_store)
-                    done_ids.add(res.trial_id)
-                    self._record_ok(job, res, wall=None)
-
-                def on_error(trial: TrialSpec, exc: BaseException) -> None:
-                    # The pool already applied its own policy: a hung
-                    # trial (watchdog/backstop) arrives as TrialHungError,
-                    # a twice-crashing chunk as WorkerCrashError — both
-                    # quarantine outright (WorkerCrashError is "transient
-                    # once" and the pool spent that once; re-running the
-                    # trial in-process could take the whole service down).
-                    # Anything else transient falls through to the serial
-                    # retry path below.
-                    if isinstance(exc, WorkerCrashError) or not is_transient(exc):
-                        quarantined_ids.add(trial.trial_id)
-                        self._quarantine(job, trial, exc)
-
-                try:
-                    backend.run(testbed, pending,
-                                on_result=on_result, on_error=on_error)
-                except SimulatedCrash:
-                    raise
-                except Exception:
-                    pass  # survivors fall through to the serial retry path
-            leftovers = [
-                t for t in pending
-                if t.trial_id not in done_ids
-                and t.trial_id not in quarantined_ids
-            ]
-            for trial in leftovers:
-                if not self._heartbeat(worker_id, job):
-                    return
-                result, wall, exc = self._run_with_retries(
-                    testbed, trial, budget
-                )
-                if result is not None:
-                    store.put(result)
-                    self._save_store(store)
-                    self._record_ok(job, result, wall=wall)
-                else:
-                    self._quarantine(job, trial, exc)
-
-        self._finalize(
-            job,
-            DONE if job.quarantined == 0 and job.failed == 0 else DONE_PARTIAL,
+    def _local_worker(self, worker_id: str) -> Worker:
+        worker = Worker(
+            InProcessTransport(self, self._stop),
             worker_id=worker_id,
-            ack=True,
+            poll_s=LOCAL_POLL_S,
+            fault_plan=self._fault_plan,
+            sleep=self._sleep,
+            testbed_factory=self.testbed,
         )
+        # Sharing the stop event makes stop() a drain: every in-process
+        # worker requeues its job at the next trial boundary.
+        worker.stop_event = self._stop
+        return worker
 
     # ------------------------------------------------------------------
-    # Remote workers (the HTTP lease protocol — see service/worker.py)
+    # The worker protocol (the HTTP routes and the in-process transport
+    # both reach these through repro.service.transport.worker_verb)
     # ------------------------------------------------------------------
+    def handshake(self, worker_id: str) -> dict:
+        """The config every worker adopts at registration: the policy
+        attributes named by ``worker.POLICY`` (lease length, watchdog,
+        retry policy, pool width) plus the registry's ttl."""
+        cfg = {key: getattr(self, key) for key in POLICY}
+        cfg.update(worker_id=worker_id, worker_ttl_s=self.worker_ttl_s)
+        return cfg
+
     def register_worker(self, worker_id: str) -> dict:
-        """A remote worker announced itself. Returns the handshake config
-        the worker daemons run with (lease length drives their heartbeat
-        cadence). Registration is soft state: it expires ``worker_ttl_s``
+        """An out-of-process worker announced itself; returns the
+        handshake. Registration is soft state: it expires ``worker_ttl_s``
         after the worker's last contact and costs nothing to repeat."""
         with self._cond:
             self._remote_workers[worker_id] = time.monotonic()
-        return {
-            "worker_id": worker_id,
-            "lease_s": self.lease_s,
-            "worker_ttl_s": self.worker_ttl_s,
-            "trial_timeout_s": self.trial_timeout_s,
-        }
+        return self.handshake(worker_id)
 
     def touch_worker(self, worker_id: str) -> None:
         """Refresh a worker's last-seen stamp (every verb calls this)."""
@@ -513,18 +397,13 @@ class Coordinator:
 
     def remote_workers_active(self) -> bool:
         """True while at least one registered worker is fresh — the switch
-        that stands the local execution threads down."""
-        now = time.monotonic()
-        with self._cond:
-            return any(
-                (now - seen) < self.worker_ttl_s
-                for seen in self._remote_workers.values()
-            )
+        that stands the in-process workers down."""
+        return any(w["active"] for w in self.remote_workers())
 
     def lease_for_remote(
         self, worker_id: str, timeout: float = 0.0
     ) -> Optional[dict]:
-        """Lease one job to a remote worker.
+        """Lease one job to a worker.
 
         The coordinator sweeps the job's fingerprinted store and the
         run-table *before* shipping it (:meth:`_begin_run`): cached
@@ -541,11 +420,11 @@ class Coordinator:
             return None
         token = self.queue.lease_token(job.job_id, worker_id)
         if job.cancel_requested:
-            self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
+            self.queue.ack(job.job_id, worker_id)
+            self._finalize(job, CANCELLED)
             return None
         store = self._open_store(job)
-        pending = self._begin_run(job, store, worker_id=worker_id,
-                                  attempt=job.attempt, token=token)
+        pending = self._begin_run(job, store, worker_id, token)
         with self._cond:
             self._remote[job.job_id] = {
                 "worker_id": worker_id, "token": token, "store": store,
@@ -553,18 +432,55 @@ class Coordinator:
                 # sequence must be atomic against a retransmission racing
                 # its still-in-flight original on another handler thread.
                 "lock": threading.Lock(),
+                # Set when a failed record leaves the store untrustworthy.
+                "revoked": False,
             }
         return {"job": job, "token": token, "pending": pending}
 
+    def boundary(self, job_id: str) -> str:
+        """The decision a worker acts on at its next trial boundary:
+        cancel a job whose cancellation was requested, yield one that a
+        strictly-higher-priority job waits behind, else continue."""
+        with self._cond:
+            job = self._jobs.get(job_id)
+        if job is None:
+            return CONTINUE
+        if job.cancel_requested:
+            return CANCEL
+        top = self.queue.max_queued_priority()
+        return YIELD if top is not None and top > job.priority else CONTINUE
+
     def remote_heartbeat(self, job_id: str, worker_id: str, token: int) -> None:
-        """Extend a remote lease; :class:`LeaseLost` tells the worker its
-        lease was reaped (and possibly re-granted) — it must abandon."""
+        """Verify ``worker_id`` holds the lease under ``token`` and push
+        its expiry out — every heartbeat and fenced upload does, so a job
+        whose trials outlive ``lease_s`` is never reaped mid-run.
+        :class:`LeaseLost` tells the worker its lease was reaped (and
+        possibly re-granted): it must abandon. Fault site ``lease.reap``
+        fires first; its ``reap`` action yanks the lease, exactly as a
+        stalled worker would experience."""
         self.touch_worker(worker_id)
+        if self._fault_hook is not None:
+            rule = self._fault_hook("lease.reap", job_id)
+            if rule is not None and rule.action == "reap":
+                self.queue.force_expire(job_id)
         try:
             self.queue.extend(job_id, worker_id, self.lease_s, token=token)
         except LeaseLost:
             self._drop_remote_ctx(job_id, token)
             raise
+
+    def _lease_ctx(self, job_id: str, worker_id: str, token: int):
+        """(lease context, live job) of a fenced upload, after extending
+        the lease; :class:`LeaseLost` if the caller no longer holds it."""
+        self.remote_heartbeat(job_id, worker_id, token)
+        with self._cond:
+            ctx = self._remote.get(job_id)
+            job = self._jobs.get(job_id)
+        if ctx is None or job is None or ctx["token"] != token:
+            raise LeaseLost(
+                f"job {job_id} has no live lease for token {token}"
+            )
+        return ctx, job
 
     def record_remote_result(
         self,
@@ -574,7 +490,7 @@ class Coordinator:
         result: TrialResult,
         wall: Optional[float] = None,
     ) -> bool:
-        """Accept one uploaded TrialResult from a remote worker.
+        """Accept one uploaded TrialResult from a worker.
 
         Ordered checks make this safe against every replay the fault plan
         can produce: (1) the queue verifies worker *and* fencing token, so
@@ -583,30 +499,39 @@ class Coordinator:
         duplicated upload returns False without touching counters; (3) the
         run-table insert carries the token, so even a write racing the
         reap window is fenced by :class:`~repro.errors.StaleTokenError`.
-        Returns True when the result was new."""
-        self.touch_worker(worker_id)
-        try:
-            self.queue.verify(job_id, worker_id, token)
-        except LeaseLost:
-            self._drop_remote_ctx(job_id, token)
-            raise
-        with self._cond:
-            ctx = self._remote.get(job_id)
-            job = self._jobs.get(job_id)
-        if ctx is None or job is None or ctx["token"] != token:
-            raise LeaseLost(
-                f"job {job_id} has no live remote lease for token {token}"
-            )
+        Returns True when the result was new.
+
+        If the save or the row write fails, the in-memory store already
+        holds a result that may be on no disk and in no row, so its dedup
+        can no longer be trusted: the lease is revoked. The worker's retry
+        is fenced (409) and the next grant's sweep from disk back-fills
+        the row or re-runs the trial."""
+        ctx, job = self._lease_ctx(job_id, worker_id, token)
         store: ResultStore = ctx["store"]
         with ctx["lock"]:
+            if ctx["revoked"]:
+                raise LeaseLost(f"job {job_id}'s lease {token} was revoked")
             if store.has(result.trial_id, result.fingerprint):
                 return False  # duplicated upload: one row, one counter bump
             store.put(result)
-            self._save_store(store)
-            self._record_ok(
-                job, result, wall=wall,
-                worker_id=worker_id, attempt=job.attempt, token=token,
-            )
+            try:
+                self._save_store(store)
+                self.runtable.record_trial(
+                    job.name, result, seed=job.testbed_seed, wall_time=wall,
+                    status="ok", job_id=job.job_id,
+                    worker_id=worker_id, attempt=job.attempt, token=token,
+                )
+            except BaseException:
+                ctx["revoked"] = True
+                self.queue.force_expire(job_id, token)
+                self._drop_remote_ctx(job_id, token)
+                raise
+            job.completed += 1
+        self._notify()
+        if self._fault_hook is not None:
+            # After the row and counters are durable: a kill/crash here is
+            # the worst-timed coordinator death that still loses nothing.
+            self._fault_hook("coordinator.record", result.trial_id)
         return True
 
     def record_remote_quarantine(
@@ -619,21 +544,9 @@ class Coordinator:
         error: str,
         error_class_name: str,
     ) -> None:
-        """A remote worker gave up on one trial (permanent failure or
-        exhausted retries). Fenced and verified exactly like a result."""
-        self.touch_worker(worker_id)
-        try:
-            self.queue.verify(job_id, worker_id, token)
-        except LeaseLost:
-            self._drop_remote_ctx(job_id, token)
-            raise
-        with self._cond:
-            ctx = self._remote.get(job_id)
-            job = self._jobs.get(job_id)
-        if ctx is None or job is None or ctx["token"] != token:
-            raise LeaseLost(
-                f"job {job_id} has no live remote lease for token {token}"
-            )
+        """A worker gave up on one trial (permanent failure or exhausted
+        retries). Fenced and verified exactly like a result."""
+        ctx, job = self._lease_ctx(job_id, worker_id, token)
         with ctx["lock"]:
             # Replay dedup, mirroring the store.has check on the result
             # path: a duplicated quarantine upload must land exactly one
@@ -656,10 +569,11 @@ class Coordinator:
         self._notify()
 
     def remote_ack(self, job_id: str, worker_id: str, token: int) -> dict:
-        """The worker walked every pending trial: finalize the job. The
-        terminal state is computed *server-side* from the counters the
-        verified uploads built — a worker cannot claim completion it did
-        not upload. Returns the job's final progress dict."""
+        """The worker walked every pending trial (or was told to cancel):
+        finalize the job. The terminal state is computed *server-side*
+        from the counters the verified uploads built — a worker cannot
+        claim completion it did not upload. Returns the job's final
+        progress dict."""
         self.touch_worker(worker_id)
         with self._cond:
             job = self._jobs.get(job_id)
@@ -667,11 +581,7 @@ class Coordinator:
             raise LeaseLost(f"job {job_id} is not live")
         if job.cancel_requested:
             state = CANCELLED
-        elif (
-            job.completed + job.quarantined + job.failed >= job.total
-            and job.failed == 0
-            and job.quarantined == 0
-        ):
+        elif job.completed >= job.total and job.quarantined == 0:
             state = DONE
         else:
             state = DONE_PARTIAL
@@ -679,76 +589,35 @@ class Coordinator:
             # Ack verifies worker + token; LeaseLost means the new holder
             # owns the job and this worker's view of it is already history.
             self.queue.ack(job_id, worker_id, token)
-        except LeaseLost:
+        finally:
             self._drop_remote_ctx(job_id, token)
-            raise
-        self._drop_remote_ctx(job_id, token)
         self._finalize(job, state)
         return job.progress()
 
     def remote_requeue(self, job_id: str, worker_id: str, token: int) -> None:
-        """Graceful give-back (worker draining for shutdown): the job goes
-        back to the queue at its original position, progress persisted."""
+        """Give the job back (the worker is draining, or was told to
+        yield): it returns to the queue at its original position, its
+        progress persisted."""
         self.touch_worker(worker_id)
         with self._cond:
             job = self._jobs.get(job_id)
         try:
             self.queue.requeue(job_id, worker_id, token=token)
-        except LeaseLost:
+        finally:
             self._drop_remote_ctx(job_id, token)
-            raise
-        self._drop_remote_ctx(job_id, token)
         if job is not None:
             job.state = QUEUED
             self.runtable.upsert_job(job)
             self._notify()
 
     def _drop_remote_ctx(self, job_id: str, token: int) -> None:
-        """Forget a remote lease context, but only if it still belongs to
+        """Forget a lease context, but only if it still belongs to
         ``token`` — a re-granted lease's fresh context must survive the
         zombie's cleanup."""
         with self._cond:
             ctx = self._remote.get(job_id)
             if ctx is not None and ctx["token"] == token:
                 del self._remote[job_id]
-
-    def _run_with_retries(
-        self, testbed: Testbed, trial: TrialSpec, budget: Dict[str, int]
-    ) -> "Tuple[Optional[TrialResult], Optional[float], Optional[BaseException]]":
-        """Run one trial serially, retrying *transient* failures with
-        capped exponential backoff while the per-trial cap and the job's
-        budget allow. Permanent failures return immediately — the sim is
-        deterministic, so they would only reproduce. Returns
-        (result | None, wall_seconds | None, exception | None)."""
-        attempt = 0
-        while True:
-            try:
-                t0 = time.perf_counter()
-                result = run_trial(testbed, trial, **self._trial_kwargs())
-                return result, time.perf_counter() - t0, None
-            except SimulatedCrash:
-                raise  # fault injection: behave like a dead process
-            except Exception as exc:
-                if not is_transient(exc):
-                    return None, None, exc
-                if attempt >= self.max_retries or budget["left"] <= 0:
-                    return None, None, exc
-                budget["left"] -= 1
-                attempt += 1
-                self._sleep(
-                    min(self.backoff_cap_s,
-                        self.backoff_base_s * (2 ** (attempt - 1)))
-                )
-
-    def _trial_kwargs(self) -> dict:
-        """Watchdog/fault kwargs for ``run_trial`` — only passed when
-        configured, so tests substituting two-argument fakes keep working."""
-        kwargs: dict = {}
-        if self.trial_timeout_s is not None:
-            kwargs["timeout_s"] = self.trial_timeout_s
-        if self._fault_hook is not None:
-            kwargs["fault_hook"] = self._fault_hook
-        return kwargs
 
     # ------------------------------------------------------------------
     def _open_store(self, job: SweepJob) -> ResultStore:
@@ -763,9 +632,8 @@ class Coordinator:
         self,
         job: SweepJob,
         store: ResultStore,
-        worker_id: Optional[str] = None,
-        attempt: Optional[int] = None,
-        token: Optional[int] = None,
+        worker_id: str,
+        token: int,
     ) -> List[TrialSpec]:
         """Move a freshly leased job to RUNNING and return the trials that
         still need executing.
@@ -789,47 +657,12 @@ class Coordinator:
             else:
                 pending.append(trial)
         job.completed = len(cached)
-        job.failed = 0
         job.state = RUNNING
         job.started_at = time.time()
         self.runtable.begin_run(job, cached, worker_id=worker_id,
-                                attempt=attempt, token=token)
+                                attempt=job.attempt, token=token)
         self._notify()
         return pending
-
-    def _record_ok(
-        self,
-        job: SweepJob,
-        result: TrialResult,
-        wall: Optional[float],
-        worker_id: Optional[str] = None,
-        attempt: Optional[int] = None,
-        token: Optional[int] = None,
-    ) -> None:
-        self.runtable.record_trial(
-            job.name, result, seed=job.testbed_seed, wall_time=wall,
-            status="ok", job_id=job.job_id,
-            worker_id=worker_id, attempt=attempt, token=token,
-        )
-        job.completed += 1
-        self._notify()
-        if self._fault_hook is not None:
-            # After the row and counters are durable: a kill/crash here is
-            # the worst-timed coordinator death that still loses nothing.
-            self._fault_hook("coordinator.record", result.trial_id)
-
-    def _quarantine(
-        self, job: SweepJob, trial: TrialSpec, exc: Optional[BaseException]
-    ) -> None:
-        exc = exc if exc is not None else RuntimeError("unknown error")
-        self.runtable.record_quarantine(
-            job.name, trial.trial_id, trial.fingerprint(),
-            str(exc), error_class(exc),
-            seed=job.testbed_seed, job_id=job.job_id,
-        )
-        job.quarantined += 1
-        job.error = f"{error_class(exc)}: {exc}"
-        self._notify()
 
     def _save_store(self, store: ResultStore) -> None:
         """Persist the store, absorbing up to two transient write failures
@@ -848,43 +681,7 @@ class Coordinator:
                         self.backoff_base_s * (2 ** attempt))
                 )
 
-    def _heartbeat(self, worker_id: str, job: SweepJob) -> bool:
-        """Extend this worker's lease. False means the lease expired and was
-        reaped (possibly re-granted): the caller must abandon the job
-        without writing any further state for it."""
-        if self._fault_hook is not None:
-            rule = self._fault_hook("lease.reap", job.job_id)
-            if rule is not None and rule.action == "reap":
-                # Fault injection: yank the lease out from under the live
-                # worker, exactly as a stalled heartbeat would experience.
-                self.queue.force_expire(job.job_id)
-        try:
-            self.queue.extend(job.job_id, worker_id, self.lease_s)
-            return True
-        except LeaseLost:
-            return False
-
-    def _requeue(self, job: SweepJob, worker_id: str) -> None:
-        # Verify the lease before writing QUEUED anywhere: if it was
-        # reaped, the job is already back in the queue (or re-leased) and
-        # its state belongs to someone else. LeaseLost propagates.
-        self.queue.requeue(job.job_id, worker_id)
-        job.state = QUEUED
-        self.runtable.upsert_job(job)
-        self._notify()
-
-    def _finalize(
-        self,
-        job: SweepJob,
-        state: str,
-        worker_id: Optional[str] = None,
-        ack: bool = False,
-    ) -> None:
-        if ack:
-            # Ack first: it verifies this worker still holds the lease, so
-            # a reaped worker raises LeaseLost instead of writing a
-            # terminal state over the new holder's run.
-            self.queue.ack(job.job_id, worker_id)
+    def _finalize(self, job: SweepJob, state: str) -> None:
         job.state = state
         job.finished_at = time.time()
         self.runtable.upsert_job(job)

@@ -12,26 +12,29 @@ as JSON files, so one plan describes a whole distributed failure script.
 Hook contract (the tested surface — see DESIGN.md "Failure domains"):
 
 ==================== ============================ ========================
-site                 key                          actions that make sense
+site                 key / where it fires         actions that make sense
 ==================== ============================ ========================
 ``store.save``       store path                   raise (OSError)
 ``runtable.execute`` None (every statement)       raise (OperationalError)
-``trial.run``        trial id                     raise / hang / kill / crash
-``pool.worker``      trial id                     kill (os._exit in worker)
+``trial.run``        trial id, in the worker      raise / hang / kill / crash
+``pool.worker``      trial id, in a pool process  kill (os._exit in worker)
 ``client.request``   request path                 drop / truncate
-``lease.reap``       job id                       reap (force-expire lease)
+``lease.reap``       job id, at each lease extend reap (force-expire lease)
 ``coordinator.record`` trial id                   kill / crash
 ``worker.request``   request path                 drop / delay / truncate
 ``worker.upload``    trial id                     drop / delay / truncate / duplicate
 ``worker.heartbeat`` job id                       drop / delay
 ==================== ============================ ========================
 
-The three ``worker.*`` sites live in the remote worker daemon's transport
-(see ``repro.service.worker``): ``drop`` fails the request before it is
-sent (a partition), ``delay`` sleeps ``hang_s`` first (a slow link — the
-request still goes out, late), ``truncate`` sends the request but loses
-the response (the server processed it; the retry must deduplicate), and
-``duplicate`` sends the same upload twice (exactly one row may land).
+``lease.reap`` fires where the server extends a lease (every heartbeat
+and fenced upload), so it reaches every worker. ``trial.run``,
+``pool.worker`` and the three ``worker.*`` sites fire in whichever worker
+executes (see ``repro.service.worker``): a ``cli work`` daemon fires its
+own plan, ``serve``'s in-process workers fire the coordinator's. For the
+transport sites ``drop`` fails the request before it is sent (a
+partition), ``delay`` sleeps ``hang_s`` first (a slow link), ``truncate``
+sends it but loses the response (the server processed it; the retry must
+deduplicate), and ``duplicate`` sends an upload twice (one row may land).
 
 Every hookable object holds an optional ``fault_hook`` that defaults to
 ``None`` and is checked with a single ``is not None`` — production runs
@@ -55,7 +58,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import SimulatedCrash
 
@@ -376,7 +379,3 @@ __all__ = [
     "describe",
 ]
 
-
-def _counts(plan: FaultPlan) -> Dict[str, Any]:  # pragma: no cover
-    """Debug view of per-rule call counters."""
-    return {f"{r.site}[{r.key or '*'}]": r.calls for r in plan.rules}

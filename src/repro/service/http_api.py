@@ -11,10 +11,10 @@ Server: a :class:`ThreadingHTTPServer` over a :class:`Coordinator`.
 ``GET  /runs``                   recent run-table rows + per-experiment counts
 ``GET  /runs/summary``           percentiles/summary of a metric
 ``POST /runs/prune``             retention: drop old rows, checkpoint WAL
-``GET  /workers``                remote worker registry snapshot
-``POST /workers/register``       remote worker handshake
+``GET  /workers``                out-of-process worker registry snapshot
+``POST /workers/register``       worker handshake (lease, retry, pool config)
 ``POST /workers/lease``          lease one job + fencing token to a worker
-``POST /workers/heartbeat``      extend a remote lease
+``POST /workers/heartbeat``      extend a lease; reply carries the decision
 ``POST /workers/upload``         idempotent, fenced TrialResult upload
 ``POST /workers/quarantine``     worker gave up on one trial
 ``POST /workers/ack``            job finished; server computes final state
@@ -24,7 +24,11 @@ Server: a :class:`ThreadingHTTPServer` over a :class:`Coordinator`.
 The worker verbs (see ``repro.service.worker``) carry ``worker_id`` and
 the lease's **fencing token** in every body; a stale lease maps to HTTP
 409 with ``code`` ``lease_lost`` or ``stale_token`` — the reply that
-tells a zombie worker to back away.
+tells a zombie worker to back away. The routes decode their bodies with
+:func:`repro.service.transport.worker_verb`, the same function the
+serve process's in-process workers call directly; an upload, quarantine
+or heartbeat reply carries the boundary decision (continue / yield /
+cancel) the worker acts on at its next trial boundary.
 
 Submit bodies (JSON)::
 
@@ -60,15 +64,11 @@ import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import StaleTokenError
 from repro.experiments.runners import SWEEP_BUILDERS, ExperimentScale
-from repro.experiments.spec import TrialResult, experiment_from_wire
+from repro.experiments.spec import experiment_from_wire
 from repro.service.coordinator import Coordinator
 from repro.service.jobs import TERMINAL_STATES, new_job
-from repro.service.queue import LeaseLost
-
-#: Cap on ?wait= so a stalled client cannot pin a server thread forever.
-MAX_LONG_POLL_S = 60.0
+from repro.service.transport import MAX_LONG_POLL_S, ApiError, api_error, worker_verb
 
 #: Largest request body accepted (413 beyond this). Generous for wire
 #: sweeps — a trial spec is ~200 bytes, so this clears ~40k trials — but
@@ -80,19 +80,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: (or never sends one) frees its handler thread after this, instead of
 #: pinning it forever.
 SOCKET_TIMEOUT_S = 65.0
-
-
-class ApiError(Exception):
-    """Maps to an HTTP error status.
-
-    ``code`` is the machine-readable error tag the server attaches to
-    lease-protocol conflicts (``lease_lost``, ``stale_token``): the worker
-    keys its back-away decision on it instead of parsing message text."""
-
-    def __init__(self, status: int, message: str, code: Optional[str] = None):
-        super().__init__(message)
-        self.status = status
-        self.code = code
 
 
 def _query_num(query: Dict[str, str], key: str, default, parse):
@@ -133,22 +120,19 @@ class _Handler(BaseHTTPRequestHandler):
         query = {k: v[-1] for k, v in urllib.parse.parse_qs(url.query).items()}
         try:
             payload = self._route(method, parts, query)
-        except ApiError as exc:
-            self._send(exc.status, {"error": str(exc)})
-        except LeaseLost as exc:
-            # 409: the caller's lease was reaped (and possibly re-granted).
-            # ``code`` lets a worker distinguish "back away" from a plain
-            # error without parsing the message text.
-            self._send(409, {"error": str(exc), "code": "lease_lost"})
-        except StaleTokenError as exc:
-            self._send(409, {"error": str(exc), "code": "stale_token"})
         except TimeoutError:
             # The connection socket timed out mid-read: the client went
             # away or stalled. Drop the connection; there is nobody to
             # answer, and trying to would just raise again.
             self.close_connection = True
-        except Exception as exc:  # defensive: a handler bug is a 500, not EOF
-            self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:  # a handler bug is a 500, not EOF
+            # A lost lease is a 409 whose ``code`` lets a worker tell
+            # "back away" from a plain error without parsing the text.
+            err = api_error(exc)
+            reply = {"error": str(err)}
+            if err.code is not None:
+                reply["code"] = err.code
+            self._send(err.status, reply)
         else:
             self._send(200 if method == "GET" else 201, payload)
 
@@ -245,69 +229,7 @@ class _Handler(BaseHTTPRequestHandler):
             return {"workers": co.remote_workers()}
         if method != "POST" or len(parts) != 2:
             raise ApiError(404, f"no route {method} /{'/'.join(parts)}")
-        verb = parts[1]
-        body = self._read_body()
-        worker_id = body.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise ApiError(400, "body needs a non-empty 'worker_id'")
-
-        if verb == "register":
-            return co.register_worker(worker_id)
-
-        if verb == "lease":
-            timeout = min(
-                float(body.get("timeout", 0.0) or 0.0), MAX_LONG_POLL_S
-            )
-            leased = co.lease_for_remote(worker_id, timeout=timeout)
-            if leased is None:
-                return {"job": None}
-            return {
-                "job": leased["job"].to_wire(),
-                "token": leased["token"],
-                "pending": [t.to_wire() for t in leased["pending"]],
-            }
-
-        # Every verb below acts on an existing lease: job_id + token.
-        job_id = body.get("job_id")
-        token = body.get("token")
-        if not isinstance(job_id, str) or not job_id:
-            raise ApiError(400, "body needs a non-empty 'job_id'")
-        if not isinstance(token, int):
-            raise ApiError(400, "body needs an integer fencing 'token'")
-
-        if verb == "heartbeat":
-            co.remote_heartbeat(job_id, worker_id, token)
-            return {"ok": True}
-        if verb == "upload":
-            try:
-                result = TrialResult.from_json(body["result"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ApiError(400, f"bad wire TrialResult: {exc}")
-            wall = body.get("wall")
-            recorded = co.record_remote_result(
-                job_id, worker_id, token, result,
-                wall=None if wall is None else float(wall),
-            )
-            return {"recorded": recorded}
-        if verb == "quarantine":
-            try:
-                trial_id = str(body["trial_id"])
-                fingerprint = str(body["fingerprint"])
-                error = str(body["error"])
-                error_class_name = str(body.get("error_class", "RuntimeError"))
-            except KeyError as exc:
-                raise ApiError(400, f"quarantine body missing {exc}")
-            co.record_remote_quarantine(
-                job_id, worker_id, token, trial_id, fingerprint,
-                error, error_class_name,
-            )
-            return {"ok": True}
-        if verb == "ack":
-            return co.remote_ack(job_id, worker_id, token)
-        if verb == "requeue":
-            co.remote_requeue(job_id, worker_id, token)
-            return {"ok": True}
-        raise ApiError(404, f"no worker verb {verb!r}")
+        return worker_verb(co, parts[1], self._read_body())
 
     # ------------------------------------------------------------------
     def _read_body(self) -> dict:
@@ -552,16 +474,19 @@ class ServiceClient:
         return self._request("GET", f"/runs?{urllib.parse.urlencode(query)}")
 
     # ------------------------------------------------------------------
-    # Worker verbs (used by repro.service.worker; retry policy per verb:
-    # register/heartbeat/upload/requeue are server-side idempotent — the
-    # registry upserts, extend re-extends, upload dedups by fingerprint
-    # under the fencing token, requeue's replay just raises 409 — so the
-    # transport may retry them. A lease retry could grant a second job,
-    # so the worker polls again instead.)
+    # Worker verbs (used by repro.service.worker, mirrored in-process by
+    # repro.service.transport). Every verb but lease is server-side
+    # idempotent — the registry upserts, extend re-extends, upload dedups
+    # by fingerprint under the fencing token, a replayed ack or requeue
+    # just gets 409 — so the transport may retry them. A lease retry could
+    # grant a second job, so the worker polls again instead.
     # ------------------------------------------------------------------
+    def _worker_verb(self, verb: str, **body) -> dict:
+        return self._request("POST", f"/workers/{verb}", body,
+                             idempotent=True)
+
     def register_worker(self, worker_id: str) -> dict:
-        return self._request("POST", "/workers/register",
-                             {"worker_id": worker_id}, idempotent=True)
+        return self._worker_verb("register", worker_id=worker_id)
 
     def workers(self) -> List[dict]:
         return self._request("GET", "/workers")["workers"]
@@ -574,10 +499,8 @@ class ServiceClient:
         )
 
     def heartbeat(self, job_id: str, worker_id: str, token: int) -> dict:
-        return self._request(
-            "POST", "/workers/heartbeat",
-            {"job_id": job_id, "worker_id": worker_id, "token": token},
-            idempotent=True,
+        return self._worker_verb(
+            "heartbeat", job_id=job_id, worker_id=worker_id, token=token
         )
 
     def upload_result(
@@ -588,11 +511,9 @@ class ServiceClient:
         result_wire: dict,
         wall: Optional[float] = None,
     ) -> dict:
-        return self._request(
-            "POST", "/workers/upload",
-            {"job_id": job_id, "worker_id": worker_id, "token": token,
-             "result": result_wire, "wall": wall},
-            idempotent=True,
+        return self._worker_verb(
+            "upload", job_id=job_id, worker_id=worker_id, token=token,
+            result=result_wire, wall=wall,
         )
 
     def quarantine_trial(
@@ -605,26 +526,20 @@ class ServiceClient:
         error: str,
         error_class_name: str,
     ) -> dict:
-        return self._request(
-            "POST", "/workers/quarantine",
-            {"job_id": job_id, "worker_id": worker_id, "token": token,
-             "trial_id": trial_id, "fingerprint": fingerprint,
-             "error": error, "error_class": error_class_name},
-            idempotent=True,
+        return self._worker_verb(
+            "quarantine", job_id=job_id, worker_id=worker_id, token=token,
+            trial_id=trial_id, fingerprint=fingerprint, error=error,
+            error_class=error_class_name,
         )
 
     def ack_job(self, job_id: str, worker_id: str, token: int) -> dict:
-        return self._request(
-            "POST", "/workers/ack",
-            {"job_id": job_id, "worker_id": worker_id, "token": token},
-            idempotent=True,
+        return self._worker_verb(
+            "ack", job_id=job_id, worker_id=worker_id, token=token
         )
 
     def requeue_job(self, job_id: str, worker_id: str, token: int) -> dict:
-        return self._request(
-            "POST", "/workers/requeue",
-            {"job_id": job_id, "worker_id": worker_id, "token": token},
-            idempotent=True,
+        return self._worker_verb(
+            "requeue", job_id=job_id, worker_id=worker_id, token=token
         )
 
     def prune_runs(

@@ -83,10 +83,6 @@ class SweepJob:
     def total(self) -> int:
         return len(self.trials)
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
     def progress(self) -> dict:
         """The JSON-ready view the HTTP status/tail endpoints serve."""
         return {

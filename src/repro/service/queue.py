@@ -158,8 +158,8 @@ class InMemoryJobQueue:
     ) -> None:
         """Heartbeat: push the lease expiry out (long trials mid-job).
         Raises :class:`LeaseLost` if ``worker_id`` no longer holds the
-        lease — the heartbeat doubles as the "do I still own this job?"
-        check the coordinator makes at every trial boundary."""
+        lease — the extend doubles as the "do you still own this job?"
+        check the coordinator makes on every heartbeat and upload."""
         with self._cond:
             entry = self._leased_entry_locked(job_id, worker_id, token)
             entry.lease_expiry = self._clock() + (
@@ -173,15 +173,6 @@ class InMemoryJobQueue:
         every downstream write."""
         with self._cond:
             return self._leased_entry_locked(job_id, worker_id).token
-
-    def verify(
-        self, job_id: str, worker_id: str, token: Optional[int] = None
-    ) -> None:
-        """Assert ``worker_id`` (holding ``token``, when given) still owns
-        the lease; raises :class:`LeaseLost` otherwise. The read-only verb
-        upload handlers call before accepting a result."""
-        with self._cond:
-            self._leased_entry_locked(job_id, worker_id, token)
 
     def advance_tokens(self, floor: int) -> None:
         """Ensure every future grant's token is strictly greater than
@@ -222,14 +213,17 @@ class InMemoryJobQueue:
                 self._cond.notify_all()
         return reaped
 
-    def force_expire(self, job_id: str) -> bool:
+    def force_expire(self, job_id: str, token: Optional[int] = None) -> bool:
         """Expire a live lease immediately (fault injection / admin): the
         job goes back to queued and the old holder's next ``extend`` or
-        ``ack`` raises :class:`LeaseLost`. Returns True if a lease was
-        actually expired."""
+        ``ack`` raises :class:`LeaseLost`. With ``token``, only a lease
+        still granted under that token expires. Returns True if a lease
+        was actually expired."""
         with self._cond:
             entry = self._entries.get(job_id)
             if entry is None or entry.state != "leased":
+                return False
+            if token is not None and entry.token != token:
                 return False
             entry.state = "queued"
             entry.leased_to = None
@@ -257,6 +251,13 @@ class InMemoryJobQueue:
         with self._cond:
             entry = self._best_queued_locked()
             return None if entry is None else entry.job.priority
+
+    def wait_queued(self, timeout: float) -> bool:
+        """Block up to ``timeout`` real seconds until some job is queued
+        (True) — waiting for work without sitting inside :meth:`lease`."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self._best_queued_locked() is not None, timeout)
 
     def queued_count(self) -> int:
         with self._cond:

@@ -1,37 +1,36 @@
-"""Remote worker daemon: leases jobs over HTTP and executes them locally.
+"""Worker: leases jobs from a coordinator and executes their trials.
 
-One :class:`Worker` is the client half of the lease protocol the
-coordinator serves (``/workers/*`` in ``http_api.py``)::
+Every trial the sweep service runs is run by a :class:`Worker` — a
+``cli work`` daemon over HTTP, or one of ``serve``'s own workers over the
+in-process transport (``repro.service.transport``). Both speak one lease
+protocol::
 
     register ──> lease ──> run trial ──> upload ──┐
                    ^         |    ^───────────────┘ (per pending trial)
                    |         └──> quarantine (permanent failure)
-                   └── ack (all trials walked) / requeue (draining)
+                   └── ack (all trials walked, or cancel) / requeue (yield)
 
     heartbeat ────────────────────────── (background, every lease_s/3)
 
-Safety rests on three server-side properties, so the worker itself can be
-dumb and stateless:
+The worker stays dumb and stateless because safety is server-side: every
+verb carries the lease's **fencing token**, and the first 409
+(``lease_lost`` / ``stale_token``) makes the worker abandon the job on the
+spot; uploads are **idempotent** (deduplicated by trial id and
+fingerprint), so failed ones are retried freely; and the terminal state is
+computed by the server at ``ack`` from verified uploads.
 
-* every lease carries a **fencing token**; the worker attaches it to every
-  verb, and the first 409 reply (``lease_lost`` / ``stale_token``) means
-  the lease was reaped during a partition — the worker *abandons* the job
-  on the spot, uploading nothing further (the new holder owns it);
-* uploads are **idempotent**: the coordinator dedups by (trial_id,
-  fingerprint) under the token, so the worker retries transport failures
-  freely — a truncated response or a duplicated send lands one row;
-* the terminal state is computed by the server from verified uploads at
-  ``ack`` — a worker cannot claim progress it did not upload.
+Policy comes from the coordinator: the register handshake carries the
+lease length, the trial watchdog, the transient-retry policy and
+``trial_jobs``; every upload and heartbeat reply carries the boundary
+decision (continue, yield, cancel) the worker acts on at its next trial
+boundary. With ``trial_jobs > 1`` trials run in chunks over a process
+pool and the boundaries fall between chunks; results are bit-identical to
+``SerialBackend`` either way.
 
-The transport wrapper :meth:`Worker._call` fires the fault sites
-``worker.request`` / ``worker.upload`` / ``worker.heartbeat`` (actions
-``drop``, ``delay``, ``truncate``, ``duplicate`` — see
-``repro.service.faults``), which is how CI injects partitions, slow
-links, and duplicated uploads deterministically.
-
-Execution is serial and in-process: the *fleet* is the parallelism unit
-(one daemon per core/host), and serial execution keeps results
-bit-identical to ``SerialBackend`` by construction.
+:meth:`Worker._call` fires the transport fault sites ``worker.request`` /
+``worker.upload`` / ``worker.heartbeat`` (``drop``, ``delay``,
+``truncate``, ``duplicate`` — see ``repro.service.faults``); the same
+plan's ``trial.run`` and ``pool.worker`` sites fire in the trials.
 """
 
 from __future__ import annotations
@@ -43,19 +42,28 @@ import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import error_class, is_transient
-from repro.experiments.executor import run_trial
+from repro.errors import (
+    SimulatedCrash,
+    WorkerCrashError,
+    error_class,
+    is_transient,
+)
+from repro.experiments.executor import ProcessPoolBackend, run_trial
 from repro.experiments.spec import TrialResult, TrialSpec
 from repro.net.testbed import Testbed
 from repro.service.faults import FaultPlan
-from repro.service.http_api import ApiError, ServiceClient
 from repro.service.jobs import SweepJob
+from repro.service.transport import CANCEL, CONTINUE, YIELD, ApiError
 
 #: Outcomes of Worker.run_one (also its return values).
 IDLE = None            # nothing leased
-ACKED = "acked"        # walked every trial, server finalized the job
+ACKED = "acked"        # walked every trial (or cancelled), server finalized
 ABANDONED = "abandoned"  # lease lost (or server unreachable): backed away
-REQUEUED = "requeued"  # graceful give-back while draining
+REQUEUED = "requeued"  # gave the job back: draining, or a higher priority
+
+#: Handshake keys the worker adopts from ``register``.
+POLICY = ("lease_s", "trial_timeout_s", "max_retries", "retry_budget",
+          "backoff_base_s", "backoff_cap_s", "trial_jobs")
 
 
 def default_worker_id() -> str:
@@ -63,21 +71,32 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
-class Worker:
-    """One worker daemon bound to a :class:`ServiceClient`.
+class _Lease:
+    """One leased job, shared by the trial loop and its heartbeat thread."""
 
-    ``fault_plan`` here is the *worker-side* plan: its ``worker.*`` sites
-    fire in this process's transport, independent of whatever plan the
-    server runs. ``sleep`` is injectable so retry/poll tests are instant.
+    def __init__(self, job_id: str, token: int):
+        self.job_id = job_id
+        self.token = token
+        self.lost = threading.Event()
+        #: The latest boundary decision the server replied with.
+        self.decision = CONTINUE
+
+
+class Worker:
+    """One worker bound to a client (:class:`ServiceClient` or the
+    in-process transport).
+
+    ``fault_plan`` is the plan this worker's transport and trials fire;
+    it is independent of whatever plan the server runs. ``sleep`` is
+    injectable so retry/poll tests are instant.
     """
 
     def __init__(
         self,
-        client: ServiceClient,
+        client,
         worker_id: Optional[str] = None,
         poll_s: float = 1.0,
         upload_retries: int = 2,
-        trial_retries: int = 2,
         fault_plan: Optional[FaultPlan] = None,
         sleep: Callable[[float], None] = time.sleep,
         testbed_factory: Callable[[int], Testbed] = None,
@@ -86,16 +105,21 @@ class Worker:
         self.worker_id = worker_id or default_worker_id()
         self.poll_s = poll_s
         self.upload_retries = upload_retries
-        self.trial_retries = trial_retries
+        self._fault_plan = fault_plan
         self._fault_hook = None if fault_plan is None else fault_plan.fire
         self._sleep = sleep
         self._testbed_factory = testbed_factory or (
             lambda seed: Testbed(seed=seed)
         )
         self._testbeds: Dict[int, Testbed] = {}
-        #: Filled by the register handshake.
+        #: Policy, replaced by the register handshake (see POLICY).
         self.lease_s: float = 60.0
         self.trial_timeout_s: Optional[float] = None
+        self.max_retries = 2
+        self.retry_budget = 16
+        self.backoff_base_s = 0.1
+        self.backoff_cap_s = 5.0
+        self.trial_jobs = 1
         self.stop_event = threading.Event()
         #: Counters for the daemon's exit report (and tests).
         self.stats = {"jobs": 0, "acked": 0, "abandoned": 0,
@@ -105,7 +129,7 @@ class Worker:
     # Transport wrapper: where the worker.* fault sites live
     # ------------------------------------------------------------------
     def _call(self, site: str, key: Optional[str], fn: Callable[[], Any]) -> Any:
-        """Run one HTTP call through the fault plan.
+        """Run one transport call through the fault plan.
 
         ``delay`` already slept inside ``fire``; ``drop`` fails before the
         bytes leave (a partition); ``truncate`` performs the call but loses
@@ -129,8 +153,8 @@ class Worker:
     # Lifecycle
     # ------------------------------------------------------------------
     def register(self, retries: int = 5) -> dict:
-        """Handshake: announce this worker, adopt the server's lease
-        length (drives heartbeat cadence) and trial watchdog budget."""
+        """Handshake: announce this worker and adopt the server's policy
+        (lease length drives the heartbeat cadence)."""
         last: Optional[Exception] = None
         for attempt in range(retries):
             try:
@@ -138,11 +162,9 @@ class Worker:
                     "worker.request", "register",
                     lambda: self.client.register_worker(self.worker_id),
                 )
-                self.lease_s = float(cfg.get("lease_s", self.lease_s))
-                timeout = cfg.get("trial_timeout_s")
-                self.trial_timeout_s = (
-                    None if timeout is None else float(timeout)
-                )
+                for key in POLICY:
+                    if key in cfg:
+                        setattr(self, key, cfg[key])
                 return cfg
             except OSError as exc:
                 last = exc
@@ -187,9 +209,8 @@ class Worker:
     # One job
     # ------------------------------------------------------------------
     def run_one(self, timeout: float = 0.0) -> Optional[str]:
-        """Lease and execute at most one job. Returns None (nothing
-        queued / transport down), else one of ``acked`` / ``abandoned`` /
-        ``requeued``."""
+        """Lease and execute at most one job: None (nothing leased), else
+        ``acked`` / ``abandoned`` / ``requeued``."""
         try:
             leased = self._call(
                 "worker.request", "lease",
@@ -207,49 +228,42 @@ class Worker:
 
     def _execute(self, leased: dict) -> str:
         job = SweepJob.from_wire(leased["job"])
-        token = int(leased["token"])
+        lease = _Lease(job.job_id, int(leased["token"]))
         pending = [TrialSpec.from_wire(t) for t in leased["pending"]]
         testbed = self._testbed(job.testbed_seed)
 
-        lost = threading.Event()
         stop_hb = threading.Event()
         hb = threading.Thread(
             target=self._heartbeat_loop,
-            args=(job.job_id, token, lost, stop_hb),
+            args=(lease, stop_hb),
             name=f"hb-{job.job_id}",
             daemon=True,
         )
         hb.start()
         try:
-            for trial in pending:
-                # Trial boundary: the only places a worker changes course.
-                if lost.is_set():
+            #: Transient-retry budget shared by every trial of this lease.
+            budget = {"left": self.retry_budget}
+            size = 1 if self.trial_jobs <= 1 else max(2, self.trial_jobs)
+            for start in range(0, len(pending), size):
+                # Trial (chunk) boundary: the only places a worker
+                # changes course.
+                if lease.lost.is_set():
                     return ABANDONED
-                if self.stop_event.is_set():
-                    return self._requeue(job.job_id, token)
-                result, wall, exc = self._run_trial(testbed, trial)
-                self.stats["trials"] += 1
-                if result is not None:
-                    if not self._upload(job.job_id, token, result, wall, lost):
-                        return ABANDONED
-                else:
-                    if not self._quarantine(job.job_id, token, trial, exc,
-                                            lost):
-                        return ABANDONED
-            if lost.is_set():
+                if self.stop_event.is_set() or lease.decision == YIELD:
+                    return self._finish(lease, "requeue", REQUEUED)
+                if lease.decision == CANCEL:
+                    break
+                self._run_chunk(
+                    testbed, pending[start:start + size], lease, budget
+                )
+            if lease.lost.is_set():
                 return ABANDONED
-            return self._ack(job.job_id, token)
+            return self._finish(lease, "ack", ACKED)
         finally:
             stop_hb.set()
             hb.join(timeout=5.0)
 
-    def _heartbeat_loop(
-        self,
-        job_id: str,
-        token: int,
-        lost: threading.Event,
-        stop: threading.Event,
-    ) -> None:
+    def _heartbeat_loop(self, lease: _Lease, stop: threading.Event) -> None:
         """Extend the lease every ``lease_s / 3``. A 409 sets ``lost`` —
         the back-away signal the trial loop checks at every boundary. A
         transport failure (dropped beat) is absorbed: the lease outlives
@@ -258,15 +272,16 @@ class Worker:
         interval = max(0.1, self.lease_s / 3.0)
         while not stop.wait(interval):
             try:
-                self._call(
-                    "worker.heartbeat", job_id,
+                reply = self._call(
+                    "worker.heartbeat", lease.job_id,
                     lambda: self.client.heartbeat(
-                        job_id, self.worker_id, token
+                        lease.job_id, self.worker_id, lease.token
                     ),
                 )
+                lease.decision = reply.get("decision", CONTINUE)
             except ApiError as exc:
                 if exc.status == 409:
-                    lost.set()
+                    lease.lost.set()
                     return
             except OSError:
                 continue
@@ -274,118 +289,171 @@ class Worker:
     # ------------------------------------------------------------------
     # Trial execution + the fenced verbs
     # ------------------------------------------------------------------
-    def _run_trial(self, testbed: Testbed, trial: TrialSpec):
-        """Serial run with a small transient-retry loop (the server also
-        quarantines what we report — this is just first-line absorption).
-        Returns (result | None, wall | None, exception | None)."""
+    def _run_chunk(
+        self,
+        testbed: Testbed,
+        chunk: List[TrialSpec],
+        lease: _Lease,
+        budget: Dict[str, int],
+    ) -> None:
+        """Run the trials between two boundaries: over a process pool
+        when the chunk has several, then serially (with retries) whatever
+        the pool left unsettled."""
+        settled: set = set()
+        if len(chunk) > 1:
+            def on_result(res: TrialResult) -> None:
+                settled.add(res.trial_id)
+                self.stats["trials"] += 1
+                self._upload(lease, res, wall=None)
+
+            def on_error(trial: TrialSpec, exc: BaseException) -> None:
+                # The pool already applied its own policy: a hung trial
+                # (watchdog/backstop) arrives as TrialHungError, a
+                # twice-crashing chunk as WorkerCrashError — both
+                # quarantine outright (re-running a worker-killing trial
+                # in this process could take it down). Anything else
+                # transient falls through to the serial retry path.
+                if isinstance(exc, WorkerCrashError) or not is_transient(exc):
+                    settled.add(trial.trial_id)
+                    self.stats["trials"] += 1
+                    self._quarantine(lease, trial, exc)
+
+            pool = ProcessPoolBackend(
+                self.trial_jobs, trial_timeout_s=self.trial_timeout_s,
+                fault_plan=self._fault_plan,
+            )
+            try:
+                pool.run(testbed, chunk, on_result=on_result,
+                         on_error=on_error)
+            except SimulatedCrash:
+                raise
+            except Exception:
+                pass  # survivors fall through to the serial retry path
+        for trial in chunk:
+            if lease.lost.is_set():
+                return
+            if trial.trial_id in settled:
+                continue
+            result, wall, exc = self._run_trial(testbed, trial, budget)
+            self.stats["trials"] += 1
+            if result is not None:
+                self._upload(lease, result, wall)
+            else:
+                self._quarantine(lease, trial, exc)
+
+    def _run_trial(
+        self,
+        testbed: Testbed,
+        trial: TrialSpec,
+        budget: Dict[str, int],
+    ):
+        """Run one trial, retrying *transient* failures with capped
+        exponential backoff while the per-trial cap (``max_retries``) and
+        the job's ``budget`` allow. Permanent failures return at once —
+        the sim is deterministic, so they would only reproduce. Returns
+        (result | None, wall | None, exception | None)."""
         attempt = 0
         while True:
             try:
                 t0 = time.perf_counter()
                 result = run_trial(testbed, trial, **self._trial_kwargs())
                 return result, time.perf_counter() - t0, None
+            except SimulatedCrash:
+                raise  # fault injection: behave like a dead process
             except Exception as exc:
-                if not is_transient(exc) or attempt >= self.trial_retries:
+                if (
+                    not is_transient(exc)
+                    or attempt >= self.max_retries
+                    or budget["left"] <= 0
+                ):
                     return None, None, exc
+                budget["left"] -= 1
                 attempt += 1
-                self._sleep(min(2.0, 0.1 * (2 ** (attempt - 1))))
+                self._sleep(min(
+                    self.backoff_cap_s,
+                    self.backoff_base_s * (2 ** (attempt - 1)),
+                ))
 
     def _trial_kwargs(self) -> dict:
+        """Watchdog/fault kwargs for ``run_trial`` — only passed when
+        configured, so tests substituting two-argument fakes keep working."""
         kwargs: dict = {}
         if self.trial_timeout_s is not None:
             kwargs["timeout_s"] = self.trial_timeout_s
+        if self._fault_hook is not None:
+            kwargs["fault_hook"] = self._fault_hook
         return kwargs
+
+    def _fenced(
+        self,
+        lease: _Lease,
+        key: str,
+        stat: str,
+        fn: Callable[[], dict],
+    ) -> None:
+        """One idempotent upload (result or quarantine), retried on
+        transport and server failures; the reply's boundary decision is
+        kept on the lease. A 409, or no success within the retry budget,
+        sets ``lost``: back away (the lease will be reaped, and a later
+        upload would be fenced)."""
+        attempt = 0
+        while not lease.lost.is_set():
+            try:
+                reply = self._call("worker.upload", key, fn)
+            except (ApiError, OSError) as exc:
+                conflict = isinstance(exc, ApiError) and exc.status == 409
+                if conflict or attempt == self.upload_retries:
+                    lease.lost.set()
+                    return
+                self._sleep(min(2.0, 0.2 * (2 ** attempt)))
+                attempt += 1
+            else:
+                lease.decision = reply.get("decision", CONTINUE)
+                self.stats[stat] += 1
+                return
 
     def _upload(
         self,
-        job_id: str,
-        token: int,
+        lease: _Lease,
         result: TrialResult,
         wall: Optional[float],
-        lost: threading.Event,
-    ) -> bool:
-        """Idempotent upload with transport retries. False = back away
-        (409, or the server is unreachable past the retry budget — the
-        lease will be reaped, and re-uploading later would be fenced)."""
+    ) -> None:
         wire = result.to_json()
-        for attempt in range(self.upload_retries + 1):
-            try:
-                self._call(
-                    "worker.upload", result.trial_id,
-                    lambda: self.client.upload_result(
-                        job_id, self.worker_id, token, wire, wall=wall
-                    ),
-                )
-                self.stats["uploaded"] += 1
-                return True
-            except ApiError as exc:
-                if exc.status == 409:
-                    lost.set()
-                    return False
-                raise
-            except OSError:
-                if attempt == self.upload_retries:
-                    lost.set()
-                    return False
-                self._sleep(min(2.0, 0.2 * (2 ** attempt)))
-        return False  # pragma: no cover - loop always returns
+        self._fenced(
+            lease, result.trial_id, "uploaded",
+            lambda: self.client.upload_result(
+                lease.job_id, self.worker_id, lease.token, wire, wall=wall
+            ),
+        )
 
     def _quarantine(
         self,
-        job_id: str,
-        token: int,
+        lease: _Lease,
         trial: TrialSpec,
         exc: Optional[BaseException],
-        lost: threading.Event,
-    ) -> bool:
+    ) -> None:
         exc = exc if exc is not None else RuntimeError("unknown error")
-        for attempt in range(self.upload_retries + 1):
-            try:
-                self._call(
-                    "worker.upload", trial.trial_id,
-                    lambda: self.client.quarantine_trial(
-                        job_id, self.worker_id, token,
-                        trial.trial_id, trial.fingerprint(),
-                        str(exc), error_class(exc),
-                    ),
-                )
-                self.stats["quarantined"] += 1
-                return True
-            except ApiError as api_exc:
-                if api_exc.status == 409:
-                    lost.set()
-                    return False
-                raise
-            except OSError:
-                if attempt == self.upload_retries:
-                    lost.set()
-                    return False
-                self._sleep(min(2.0, 0.2 * (2 ** attempt)))
-        return False  # pragma: no cover - loop always returns
+        self._fenced(
+            lease, trial.trial_id, "quarantined",
+            lambda: self.client.quarantine_trial(
+                lease.job_id, self.worker_id, lease.token,
+                trial.trial_id, trial.fingerprint(),
+                str(exc), error_class(exc),
+            ),
+        )
 
-    def _ack(self, job_id: str, token: int) -> str:
+    def _finish(self, lease: _Lease, verb: str, outcome: str) -> str:
+        """``ack`` or ``requeue`` the lease. On a 409 someone else owns the
+        job now; with the transport dead the lease will be reaped and the
+        job re-leased, where the server-side cache sweep spares every
+        uploaded trial. Either way: back away."""
+        send = getattr(self.client, f"{verb}_job")
         try:
             self._call(
-                "worker.request", "ack",
-                lambda: self.client.ack_job(job_id, self.worker_id, token),
+                "worker.request", verb,
+                lambda: send(lease.job_id, self.worker_id, lease.token),
             )
-            return ACKED
-        except (ApiError, OSError):
-            # 409: someone else owns the job now. Transport-dead: the
-            # lease will be reaped and the (fully uploaded) job re-leased,
-            # where the server-side cache sweep finishes it without
-            # re-running anything. Either way: back away.
-            return ABANDONED
-
-    def _requeue(self, job_id: str, token: int) -> str:
-        try:
-            self._call(
-                "worker.request", "requeue",
-                lambda: self.client.requeue_job(
-                    job_id, self.worker_id, token
-                ),
-            )
-            return REQUEUED
+            return outcome
         except (ApiError, OSError):
             return ABANDONED
 

@@ -1,6 +1,6 @@
 """Coordinator scheduling: retries, preemption, cancellation, crash-resume.
 
-Logic tests monkeypatch ``repro.service.coordinator.run_trial`` with a
+Logic tests monkeypatch ``repro.service.worker.run_trial`` with a
 scripted fake (and a SimpleNamespace testbed), so they run in
 milliseconds; the bit-identical and crash-resume acceptance tests execute
 real trials against a shared Testbed.
@@ -16,6 +16,7 @@ from repro.experiments.runners import ExperimentScale, build_single_link_calibra
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
 from repro.service.coordinator import Coordinator
+from repro.service.faults import canned_plan
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -81,7 +82,7 @@ class FakeRunTrial:
 @pytest.fixture
 def fake(monkeypatch):
     runner = FakeRunTrial()
-    monkeypatch.setattr("repro.service.coordinator.run_trial", runner)
+    monkeypatch.setattr("repro.service.worker.run_trial", runner)
     return runner
 
 
@@ -271,9 +272,9 @@ class TestSchedulingLogic:
 
 
 class TestLeaseHeartbeat:
-    """Jobs whose trials collectively outlive ``lease_s`` — the coordinator
-    must heartbeat at every boundary, and a worker that *did* lose its
-    lease must back away instead of double-running the job."""
+    """Jobs whose trials collectively outlive ``lease_s`` — every fenced
+    upload extends the lease, and a worker that *did* lose its lease must
+    back away instead of double-finalizing the job."""
 
     class Clock:
         def __init__(self):
@@ -295,9 +296,9 @@ class TestLeaseHeartbeat:
         return co, queue, clock
 
     def test_long_job_is_not_reaped_mid_run(self, tmp_path, fake):
-        """Three 4s trials under a 5s lease: without the per-boundary
-        heartbeat, another worker's reaper would re-lease the job mid-run
-        and both workers would execute (and finalize) it."""
+        """Three 4s trials under a 5s lease: without the lease extension
+        each upload makes, another worker's reaper would re-lease the job
+        mid-run and both workers would execute (and finalize) it."""
         co, queue, clock = self._co(tmp_path, lease_s=5.0)
         reaped = []
 
@@ -314,28 +315,39 @@ class TestLeaseHeartbeat:
         co.runtable.close()
 
     def test_stale_worker_backs_off_after_reap(self, tmp_path, fake):
-        """A worker whose lease expired and was re-granted abandons the job
-        at its next boundary: no FAILED finalize, no duplicate execution —
-        the new holder finishes from the shared fingerprinted store."""
+        """A worker whose lease expired and was re-granted backs away at its
+        next upload: the upload is fenced (nothing of it lands), it never
+        finalizes, and the new holder's lease finishes the job with one
+        row per trial under its own token."""
         co, queue, clock = self._co(tmp_path, lease_s=5.0)
+        stolen = {}
 
         def expire_and_steal(trial):
             fake.hook = None  # only on the first trial
             clock.now += 6.0
             assert queue.reap_expired() == [job_id]
-            assert queue.lease("w-thief", timeout=0) is not None
+            stolen.update(co.lease_for_remote("w-thief"))
 
         fake.hook = expire_and_steal
         job_id = co.submit(new_job("stolen", _trials(3)))
-        job = co.run_once()  # runs t/0, then backs off at the boundary
+        job = co.run_once()  # runs t/0, then backs off at the 409
         assert job.state == RUNNING  # the stale worker never finalized it
         assert fake.calls == ["t/0"]
         assert co.runtable.get_job(job_id).state == RUNNING
+        assert co.runtable.trial_count(experiment="stolen") == 0
 
-        # the thief finishes the job; t/0 comes from the store, not a rerun
-        co._run_job("w-thief", job)
-        assert job.state == DONE and job.completed == 3
-        assert fake.calls == ["t/0", "t/1", "t/2"]
+        # the thief holds a real lease and finishes the job
+        token = stolen["token"]
+        assert [t.trial_id for t in stolen["pending"]] == ["t/0", "t/1", "t/2"]
+        for trial in stolen["pending"]:
+            assert co.record_remote_result(job_id, "w-thief", token,
+                                           fake(None, trial))
+        final = co.remote_ack(job_id, "w-thief", token)
+        assert final["state"] == DONE and final["completed"] == 3
+        rows = co.runtable.recent_runs(experiment="stolen")
+        assert sorted(r["trial_id"] for r in rows) == ["t/0", "t/1", "t/2"]
+        assert {(r["worker_id"], r["token"]) for r in rows} == {
+            ("w-thief", token)}
         co.runtable.close()
 
 
@@ -376,7 +388,7 @@ class TestAgainstRealTrials:
             calls1.append(trial.trial_id)
             return real_run_trial(tb, trial)
 
-        monkeypatch.setattr("repro.service.coordinator.run_trial",
+        monkeypatch.setattr("repro.service.worker.run_trial",
                             dying_run_trial)
         with pytest.raises(KeyboardInterrupt):
             co1.run_once()
@@ -394,7 +406,7 @@ class TestAgainstRealTrials:
             calls2.append(trial.trial_id)
             return real_run_trial(tb, trial)
 
-        monkeypatch.setattr("repro.service.coordinator.run_trial",
+        monkeypatch.setattr("repro.service.worker.run_trial",
                             counting_run_trial)
         done = co2.run_once()
         assert done.job_id == job_id and done.state == DONE
@@ -416,4 +428,37 @@ class TestAgainstRealTrials:
         assert done.state == DONE
         got = {r.trial_id: r for r in co.runtable.results(calibration.name)}
         assert got == serial_reference
+        co.runtable.close()
+
+    def test_in_process_workers_fire_the_worker_chaos_plan(self, tmp_path,
+                                                           testbed):
+        """The coordinator's plan reaches its in-process workers'
+        transport: under the canned worker-chaos plan (delayed and dropped
+        requests, a duplicated and a truncated upload, dropped heartbeats)
+        two in-process workers, no HTTP, finish the job done with rows
+        equal to SerialBackend. A short lease bounds the wait if the
+        dropped request is an ack."""
+        trials = [TrialSpec(f"chaos/{i}", (0, 1), ((0, 1),),
+                            MacSpec.of("dcf"), i, 0.2, 0.05)
+                  for i in range(6)]
+        reference = {r.trial_id: r
+                     for r in SerialBackend().run(testbed, trials)}
+        plan = canned_plan("worker-chaos")
+        co = Coordinator(str(tmp_path / "svc"), fault_plan=plan, lease_s=1.0,
+                         testbed_factory=lambda seed: testbed)
+        job_id = co.submit(new_job("chaos", trials))
+        co.start(workers=2)
+        try:
+            final = co.wait(job_id, cursor=len(trials), timeout=60.0)
+        finally:
+            co.stop(timeout=10.0)
+        assert final["state"] == DONE and final["completed"] == len(trials)
+        # every transport rule saw its site fire (duplicate #1, truncate #3)
+        uploads = [r for r in plan.rules if r.site == "worker.upload"]
+        assert all(r.calls >= 3 for r in uploads)
+        got = {r.trial_id: r for r in co.runtable.results("chaos")}
+        assert got == reference
+        rows = co.runtable.recent_runs(limit=100, experiment="chaos")
+        assert sorted(r["trial_id"] for r in rows) == sorted(reference)
+        assert {r["worker_id"] for r in rows} <= {"worker-0", "worker-1"}
         co.runtable.close()

@@ -63,7 +63,7 @@ def testbed():
 @pytest.fixture(scope="module")
 def service(tmp_path_factory, testbed):
     mp = pytest.MonkeyPatch()
-    mp.setattr("repro.service.coordinator.run_trial", _ScriptedRunTrial())
+    mp.setattr("repro.service.worker.run_trial", _ScriptedRunTrial())
     co = Coordinator(
         str(tmp_path_factory.mktemp("svc")),
         sleep=lambda s: None,

@@ -1,7 +1,8 @@
 """Machine-checked service invariants around the per-trial commit.
 
-* **Counters agree with rows.** After every run-table record — the local
-  path, the remote path under the ``worker-chaos`` transport plan, and a
+* **Counters agree with rows.** After every run-table record — an
+  in-process worker, an HTTP worker under the ``worker-chaos`` transport
+  plan, both sharing three jobs of different priorities, and a
   ``coordinator.record`` crash followed by resume — a job's persisted
   ``completed``/``quarantined`` equal the number of ``ok``/``quarantined``
   rows over the job's (trial_id, fingerprint) set. The row and the
@@ -16,14 +17,16 @@ import types
 import pytest
 
 from repro.errors import SimulatedCrash
-from repro.experiments.executor import ResultStore
+from repro.experiments import executor
+from repro.experiments.executor import ResultStore, SerialBackend
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
 from repro.service import runtable as runtable_mod
 from repro.service.coordinator import Coordinator
 from repro.service.faults import FaultPlan, FaultRule, canned_plan
 from repro.service.http_api import ServiceClient, make_server, serve_in_thread
+from repro.net.testbed import Testbed
 from repro.service.jobs import DONE, DONE_PARTIAL, new_job
-from repro.service.worker import ACKED, Worker
+from repro.service.worker import ACKED, REQUEUED, Worker
 
 
 def _trials(n, prefix="t"):
@@ -110,7 +113,7 @@ def _coordinator(data_dir, **kwargs):
 class TestCountersMatchRows:
     def test_local_path(self, tmp_path, monkeypatch):
         fake = _FakeRunTrial(poison={"t/2"})
-        monkeypatch.setattr("repro.service.coordinator.run_trial", fake)
+        monkeypatch.setattr("repro.service.worker.run_trial", fake)
         co = _coordinator(tmp_path / "svc")
         watch = _InvariantWatch(co.runtable)
         try:
@@ -161,7 +164,7 @@ class TestCountersMatchRows:
     def test_record_crash_then_resume(self, tmp_path, monkeypatch):
         data_dir = tmp_path / "svc"
         fake = _FakeRunTrial(poison={"t/1"})
-        monkeypatch.setattr("repro.service.coordinator.run_trial", fake)
+        monkeypatch.setattr("repro.service.worker.run_trial", fake)
         plan = FaultPlan([FaultRule(site="coordinator.record",
                                     action="crash", nth=3)])
         co1 = _coordinator(data_dir, fault_plan=plan)
@@ -191,6 +194,79 @@ class TestCountersMatchRows:
             assert watch2.violations == []
         finally:
             co2.runtable.close()
+
+
+    def test_mixed_fleet_shares_three_jobs(self, tmp_path, monkeypatch):
+        """An in-process worker (``run_once``) and an HTTP worker share
+        three jobs of different priorities: the HTTP worker yields ``mid``
+        when ``high`` arrives, the in-process worker runs ``high``, the
+        HTTP worker resumes ``mid`` from its store, and the in-process
+        worker drains ``low``. Every record, whichever transport carried
+        it, keeps counters == rows; each key ends with exactly one ok row,
+        and the rows equal ``SerialBackend``'s."""
+        testbed = Testbed(seed=1)
+        specs = {
+            name: [TrialSpec(f"{name}/{i}", (0, 1), ((0, 1),),
+                             MacSpec.of("dcf"), i, 0.2, 0.05)
+                   for i in range(3)]
+            for name in ("low", "mid", "high")
+        }
+        reference = {r.trial_id: r for trials in specs.values()
+                     for r in SerialBackend().run(testbed, trials)}
+        real = executor.run_trial
+
+        def run_trial(tb, trial, **kwargs):
+            if trial.trial_id == "mid/0" and not jobs["high"]:
+                jobs["high"] = co.submit(new_job("high", specs["high"],
+                                                 priority=2))
+            return real(tb, trial, **kwargs)
+
+        monkeypatch.setattr("repro.service.worker.run_trial", run_trial)
+        # worker_ttl_s=0: the registry never counts the HTTP worker
+        # fresh, so the in-process worker does not stand down and both
+        # transports record into the same jobs.
+        co = _coordinator(tmp_path / "svc", worker_ttl_s=0.0,
+                          testbed_factory=lambda seed: testbed)
+        watch = _InvariantWatch(co.runtable)
+        server = make_server(co)
+        serve_in_thread(server)
+        host, port = server.server_address[:2]
+        try:
+            jobs = {
+                "low": co.submit(new_job("low", specs["low"], priority=0)),
+                "mid": co.submit(new_job("mid", specs["mid"], priority=1)),
+                "high": None,
+            }
+            remote = Worker(
+                ServiceClient(f"http://{host}:{port}", timeout=10.0),
+                worker_id="wA", testbed_factory=lambda seed: testbed,
+                sleep=lambda s: None,
+            )
+            remote.register()
+            assert remote.run_one() == REQUEUED  # mid yields to high
+            assert co.run_once().name == "high"
+            assert remote.run_one() == ACKED  # mid, mid/0 from its store
+            assert co.run_once().name == "low"
+            assert co.run_once() is None
+
+            for name, job_id in jobs.items():
+                watch.check(job_id, f"final {name}")
+                final = co.runtable.get_job(job_id)
+                assert (final.state, final.completed) == (DONE, 3)
+                rows = co.runtable.recent_runs(limit=100, experiment=name)
+                ids = [r["trial_id"] for r in rows]
+                assert len(ids) == len(set(ids)) == 3
+                writers = {r["worker_id"] for r in rows}
+                assert writers == ({"wA"} if name == "mid"
+                                   else {"worker-inline"})
+                got = co.runtable.results(name)
+                assert {r.trial_id: r for r in got} == {
+                    t.trial_id: reference[t.trial_id] for t in specs[name]}
+            assert watch.violations == []
+        finally:
+            server.shutdown()
+            co.stop(timeout=5.0)
+            co.runtable.close()
 
 
 class TestLeaseCost:

@@ -3,19 +3,21 @@
 Covers the tentpole guarantees of the partition-tolerant worker design:
 leases carry fencing tokens, uploads are idempotent under every transport
 fault the plan can inject (drop / delay / truncate / duplicate), a reaped
-worker backs away on its first 409, the coordinator degrades to local
-execution when the fleet goes stale, and the hardened HTTP server sheds
-oversized and hung clients instead of pinning threads.
+worker backs away on its first 409, cancellation and preemption reach
+the worker through its upload replies, the serve process's in-process
+workers stand down while the fleet is fresh and take over when it goes
+stale, and the hardened HTTP server sheds oversized and hung clients
+instead of pinning threads.
 """
 
 import http.client
 import socket
+import sqlite3
 import threading
 import time
 
 import pytest
 
-from repro.errors import StaleTokenError
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
 from repro.service.coordinator import Coordinator
 from repro.service.faults import FaultPlan, FaultRule, canned_plan
@@ -27,7 +29,7 @@ from repro.service.http_api import (
     serve_in_thread,
 )
 from repro.service.jobs import new_job
-from repro.service.queue import InMemoryJobQueue, LeaseLost
+from repro.service.queue import InMemoryJobQueue
 from repro.service.worker import ABANDONED, ACKED, REQUEUED, Worker
 
 
@@ -86,7 +88,6 @@ class _Service:
 def scripted(monkeypatch):
     fake = _ScriptedRunTrial()
     monkeypatch.setattr("repro.service.worker.run_trial", fake)
-    monkeypatch.setattr("repro.service.coordinator.run_trial", fake)
     return fake
 
 
@@ -184,6 +185,97 @@ class TestEndToEnd:
             assert w.run_one() == REQUEUED
             assert service.co.queue.get(job.job_id) is not None
             assert service.co.queue.queued_count() == 1
+        finally:
+            service.close()
+
+
+class TestBoundaryDecisions:
+    """Cancellation and preemption reach an HTTP worker through the
+    decision in its upload replies, honored at the next trial boundary."""
+
+    def _hooked(self, monkeypatch, hook):
+        fake = _ScriptedRunTrial()
+
+        def run_trial(testbed, trial, **kwargs):
+            out = fake(testbed, trial, **kwargs)
+            hook(trial)
+            return out
+
+        monkeypatch.setattr("repro.service.worker.run_trial", run_trial)
+        return fake
+
+    def test_cancel_mid_job_stops_after_k_trials(self, tmp_path,
+                                                 monkeypatch):
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=5)
+
+            def cancel_after_second(trial):
+                if trial.trial_id == "sweep/1":
+                    assert service.client.cancel(job.job_id)["cancelled"]
+
+            fake = self._hooked(monkeypatch, cancel_after_second)
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() == ACKED
+            progress = service.client.job(job.job_id)
+            assert progress["state"] == "cancelled"
+            assert progress["completed"] == 2
+            assert fake.calls == ["sweep/0", "sweep/1"]
+            assert service.co.runtable.trial_count(experiment="sweep") == 2
+        finally:
+            service.close()
+
+    def test_higher_priority_submit_makes_the_worker_yield(self, tmp_path,
+                                                           monkeypatch):
+        service = _Service(tmp_path)
+        try:
+            low = _submit(service, n=3, name="low")
+            submitted = []
+
+            def submit_high(trial):
+                if trial.trial_id == "low/0" and not submitted:
+                    submitted.append(_submit(service, n=1, name="high",
+                                             priority=5))
+
+            fake = self._hooked(monkeypatch, submit_high)
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() == REQUEUED
+            assert service.client.job(low.job_id)["state"] == "queued"
+            assert w.run_one() == ACKED  # high
+            assert service.client.job(submitted[0].job_id)["state"] == "done"
+            assert w.run_one() == ACKED  # low resumes
+            progress = service.client.job(low.job_id)
+            assert progress["state"] == "done" and progress["completed"] == 3
+            # low/0 was served from the fingerprinted store, never re-run
+            assert fake.calls == ["low/0", "high/0", "low/1", "low/2"]
+        finally:
+            service.close()
+
+    def test_lease_reap_fires_in_the_upload_extend(self, tmp_path,
+                                                   scripted):
+        """``lease.reap`` fires where the server extends a lease, so it
+        reaches HTTP workers too: the second upload finds its lease
+        yanked, the worker backs away, and its next lease finishes the
+        job with one row per trial."""
+        plan = FaultPlan([FaultRule(site="lease.reap", action="reap",
+                                    nth=2)])
+        service = _Service(tmp_path, fault_plan=plan)
+        try:
+            job = _submit(service, n=3)
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() == ABANDONED
+            assert w.stats["uploaded"] == 1
+            assert w.run_one() == ACKED
+            progress = service.client.job(job.job_id)
+            assert progress["state"] == "done" and progress["attempt"] == 2
+            ids = [r["trial_id"] for r in
+                   service.co.runtable.recent_runs(limit=100)]
+            assert sorted(ids) == ["sweep/0", "sweep/1", "sweep/2"]
+            assert scripted.calls == ["sweep/0", "sweep/1", "sweep/1",
+                                      "sweep/2"]
         finally:
             service.close()
 
@@ -476,26 +568,109 @@ class TestFencing:
             service2.close()
 
 
+class TestRecordFailures:
+    """A record that fails after the coordinator's store took the result
+    revokes the lease: the worker's retry is fenced instead of being
+    answered from the store's in-memory dedup, and the next grant's sweep
+    from disk back-fills the row or re-runs the trial. Both transports
+    end ``done`` with exactly one ok row per trial."""
+
+    def _drain(self, service, transport):
+        """Two grants: the first is revoked mid-job, the second finishes."""
+        if transport == "http":
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() == ABANDONED
+            assert w.run_one() == ACKED
+        else:
+            service.co.run_once()
+            service.co.run_once()
+
+    def _assert_one_ok_row_per_trial(self, service, job):
+        progress = service.co.job_progress(job.job_id)
+        assert progress["state"] == "done"
+        assert progress["completed"] == 3 and progress["attempt"] == 2
+        rows = service.co.runtable.recent_runs(limit=100)
+        assert sorted((r["trial_id"], r["status"]) for r in rows) == [
+            ("sweep/0", "ok"), ("sweep/1", "ok"), ("sweep/2", "ok")]
+        stored = service.co.runtable.get_job(job.job_id)
+        assert stored.completed == 3
+
+    @pytest.mark.parametrize("transport", ["http", "inprocess"])
+    def test_failed_row_write_is_repaired_by_the_next_grant(
+        self, tmp_path, scripted, transport
+    ):
+        service = _Service(tmp_path)
+        rt = service.co.runtable
+        real = rt.record_trial
+        first_token = []
+
+        def disk_error(site, key):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        def record_trial(experiment, result, **kw):
+            first_token[:] = first_token or [kw.get("token")]
+            if result.trial_id == "sweep/1" and kw.get("token") == first_token[0]:
+                # Every write of sweep/1 under the first grant fails
+                # with a non-busy error, which _exec does not retry.
+                rt.fault_hook = disk_error
+                try:
+                    return real(experiment, result, **kw)
+                finally:
+                    rt.fault_hook = None
+            return real(experiment, result, **kw)
+
+        rt.record_trial = record_trial
+        try:
+            job = _submit(service, n=3)
+            self._drain(service, transport)
+            self._assert_one_ok_row_per_trial(service, job)
+            # The store saved sweep/1 before its row failed: the second
+            # grant's sweep back-filled the row without re-running it.
+            assert scripted.calls == ["sweep/0", "sweep/1", "sweep/2"]
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("transport", ["http", "inprocess"])
+    def test_failed_store_save_reruns_the_trial(
+        self, tmp_path, scripted, transport
+    ):
+        # Save #1 is sweep/0's; saves #2-#4 (sweep/1 and its two in-place
+        # retries) all fail, so the upload fails as a whole.
+        plan = FaultPlan([FaultRule(site="store.save", action="raise",
+                                    exc="OSError", nth=2, times=3)])
+        service = _Service(tmp_path, fault_plan=plan)
+        try:
+            job = _submit(service, n=3)
+            self._drain(service, transport)
+            self._assert_one_ok_row_per_trial(service, job)
+            # sweep/1 never reached the disk: the second grant re-ran it.
+            assert scripted.calls == ["sweep/0", "sweep/1", "sweep/1",
+                                      "sweep/2"]
+        finally:
+            service.close()
+
+
 class TestPartitionedWorker:
     def test_reaped_worker_abandons_then_finishes_on_relase(
         self, tmp_path, monkeypatch
     ):
         """The full partition round trip with real timing: every
         heartbeat is dropped, one trial outlives the lease, the reaper
-        (still running while local execution stands down) re-queues the
+        (the in-process worker, which still reaps while it stands down)
+        re-queues the
         job, the worker's next upload gets a 409 and it abandons — then
         its next lease finishes from cache with zero duplicate rows."""
         fake = _ScriptedRunTrial(slow_once=("sweep/2",), slow_s=1.2)
         monkeypatch.setattr("repro.service.worker.run_trial", fake)
-        monkeypatch.setattr("repro.service.coordinator.run_trial", fake)
         plan = FaultPlan([
             FaultRule(site="worker.heartbeat", action="drop", times=0),
         ])
         service = _Service(tmp_path, lease_s=0.5)
-        service.co.start(workers=1)  # the reaper (stands down as executor)
+        service.co.start(workers=1)  # stands down to reaping
         try:
             w = _worker(service, "wA", plan=plan)
-            w.register()  # before submit, so local execution stands down
+            w.register()  # before submit, so the in-process worker stands down
             job = _submit(service, n=4)
             first = w.run_one()
             assert first == ABANDONED
@@ -507,8 +682,7 @@ class TestPartitionedWorker:
             progress = service.client.job(job.job_id)
             assert progress["state"] == "done"
             assert progress["completed"] == 4
-            # >= 2: attempt counts every grant, and the local thread may
-            # burn one with a lease-then-handback before standing down.
+            # >= 2: attempt counts every grant.
             assert progress["attempt"] >= 2
             rows = service.co.runtable.recent_runs(limit=100)
             ids = [r["trial_id"] for r in rows]
@@ -539,14 +713,14 @@ class TestDegradation:
     def test_stale_fleet_falls_back_to_local_execution(self, tmp_path,
                                                        scripted):
         """A registered-then-silent worker must not starve the queue: once
-        it ages past the ttl the local threads resume leasing."""
+        it ages past the ttl the in-process workers resume leasing."""
         service = _Service(tmp_path, worker_ttl_s=0.4, lease_s=30.0)
         service.co.start(workers=1)
         try:
             service.co.register_worker("ghost")  # never leases anything
             job = _submit(service, n=2)
             time.sleep(0.2)
-            # Fleet still "active": local execution is standing down.
+            # Fleet still "active": the in-process worker stands down.
             assert service.client.job(job.job_id)["state"] == "queued"
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
@@ -556,7 +730,11 @@ class TestDegradation:
                 time.sleep(0.1)
             assert progress["state"] == "done"
             rows = service.co.runtable.recent_runs(limit=10)
-            assert {r["worker_id"] for r in rows} == {None}  # local run
+            # The serve process's in-process worker ran it: its rows are
+            # fenced like any worker's.
+            assert {r["worker_id"] for r in rows} == {"worker-0"}
+            assert {r["token"] for r in rows} == {rows[0]["token"]}
+            assert all(r["attempt"] == 1 for r in rows)
         finally:
             service.close()
 
